@@ -26,7 +26,7 @@ from .pa_models import (
 )
 from .pas_engine import Duplex, PasConfig, pas_frontier, switched_arm
 from .power_models import BS_PRESETS
-from .se_engine import build_scenario, se, se_sweep, xi_se_opt
+from .se_engine import build_scenario, se, se_ibo, se_sweep, xi_se_opt
 
 _FIGURES = {
     "se-sweep": "se-vs-loading",
@@ -312,23 +312,15 @@ def _cmd_tradeoff(args):
     spec = _resolve_pa(args.pa)
     scen = _make_scenario(args, spec)
     power = _power_params(args, spec)
-    se_data = se_sweep(scen, args.xi_grid)
-    ee_data = ee_sweep(scen, power, args.xi_grid, n_ways=args.n_ways)
+    data = ee_sweep(scen, power, args.xi_grid, n_ways=args.n_ways)
     window = pareto_window(scen, power, n_ways=args.n_ways)
     params = _scenario_params(args, spec)
     params.update(
         {"n_ways": args.n_ways, "window_lo": window[0], "window_hi": window[1]}
     )
     columns = ("xi", "se_exact", "ee_exact", "se_approx", "ee_approx")
-    rows = list(
-        zip(
-            se_data["xi"],
-            se_data["se_exact"],
-            ee_data["ee_exact"],
-            se_data["se_ibo"],
-            ee_data["ee_linear"],
-        )
-    )
+    se_approx = [se_ibo(x, scen) for x in data["xi"]]
+    rows = list(zip(data["xi"], data["se_exact"], data["ee_exact"], se_approx, data["ee_linear"]))
     _write_table(args, "tradeoff", params, columns, rows)
     _note(args, f"tradeoff window: xi in [{_fmt(window[0])}, {_fmt(window[1])}]")
     return 0

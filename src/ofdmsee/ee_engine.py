@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import check_loading
 from .power_models import doherty_pieces, pc_ideal, pc_nonlinear
 from .se_engine import se, se_ideal, xi_se_opt
 from .specfun import WBranch, lambert_w
@@ -57,13 +58,6 @@ class EeBreakdown:
     zeta: float
 
 
-def _check_xi(xi):
-    xi = float(xi)
-    if not (math.isfinite(xi) and 0.0 < xi <= 1.0):
-        raise ValueError("loading factor must lie in (0, 1]")
-    return xi
-
-
 def _active_piece(xi, pieces):
     for idx, (lo, hi, v1, v2) in enumerate(pieces, start=1):
         if lo < xi <= hi:
@@ -84,27 +78,27 @@ def zeta(v1, v2, gamma):
     return (v + math.sqrt(1.0 + v * v)) ** 2 / gamma**2
 
 
-def ee(xi, scenario, power_params, n_ways=2, tol=1e-8, method="integral"):
+def ee(xi, scenario, power_params, n_ways=2):
     """Practical energy efficiency, bits per joule.
 
     Bandwidth times the true spectral efficiency over the Doherty-model
     consumed power at the same loading.
     """
-    xi = _check_xi(xi)
-    rate = scenario.bandwidth * se(xi, scenario, tol=tol, method=method)
+    xi = float(check_loading(xi))
+    rate = scenario.bandwidth * se(xi, scenario)
     return rate / pc_nonlinear(xi, power_params, n_ways=n_ways)
 
 
 def ee_linear(xi, scenario, power_params, n_ways=2):
     """EE bound with a distortion-free amplifier but real consumption."""
-    xi = _check_xi(xi)
+    xi = float(check_loading(xi))
     rate = scenario.bandwidth * se_ideal(xi, scenario)
     return rate / pc_nonlinear(xi, power_params, n_ways=n_ways)
 
 
 def ee_ideal(xi, scenario, power_params):
     """EE bound with a distortion-free amplifier and lossless consumption."""
-    xi = _check_xi(xi)
+    xi = float(check_loading(xi))
     rate = scenario.bandwidth * se_ideal(xi, scenario)
     return rate / pc_ideal(xi, power_params, scenario.gain)
 
@@ -115,7 +109,7 @@ def ee_linear_derivative(xi, scenario, power_params, n_ways=2):
     At a piece boundary the derivative is the one-sided value of the piece
     the boundary belongs to (upper-inclusive pieces).
     """
-    xi = _check_xi(xi)
+    xi = float(check_loading(xi))
     _, v1, v2 = _active_piece(xi, doherty_pieces(power_params, n_ways))
     gam = scenario.gamma
     root = math.sqrt(xi)
@@ -244,12 +238,12 @@ def pareto_window(scenario, power_params, n_ways=2):
     return (min(xi_ee, xi_se), max(xi_ee, xi_se))
 
 
-def ee_breakdown(xi, scenario, power_params, n_ways=2, tol=1e-8, method="integral"):
+def ee_breakdown(xi, scenario, power_params, n_ways=2):
     """Full accounting of one EE evaluation (active piece included)."""
-    xi = _check_xi(xi)
+    xi = float(check_loading(xi))
     pieces = doherty_pieces(power_params, n_ways)
     _, v1, v2 = _active_piece(xi, pieces)
-    se_bits = se(xi, scenario, tol=tol, method=method)
+    se_bits = se(xi, scenario)
     pc = pc_nonlinear(xi, power_params, n_ways=n_ways)
     return EeBreakdown(
         xi=xi,
@@ -262,23 +256,28 @@ def ee_breakdown(xi, scenario, power_params, n_ways=2, tol=1e-8, method="integra
     )
 
 
-def ee_sweep(scenario, power_params, xi_values, n_ways=2, tol=1e-8, method="integral"):
+def ee_sweep(scenario, power_params, xi_values, n_ways=2):
     """Evaluate the EE family over a loading grid.
 
-    Returns a dict of arrays with keys xi, ee_exact, ee_linear, ee_ideal,
-    pc_watts (one entry per grid point).
+    Returns a dict of arrays with keys xi, se_exact, ee_exact, ee_linear,
+    ee_ideal, pc_watts (one entry per grid point); se_exact is the spectral
+    efficiency behind ee_exact, so callers need no second SE sweep.
     """
     xis = np.atleast_1d(np.asarray(xi_values, dtype=float))
     out = {
         "xi": xis.copy(),
+        "se_exact": np.empty_like(xis),
         "ee_exact": np.empty_like(xis),
         "ee_linear": np.empty_like(xis),
         "ee_ideal": np.empty_like(xis),
         "pc_watts": np.empty_like(xis),
     }
     for i, x in enumerate(xis):
-        out["ee_exact"][i] = ee(x, scenario, power_params, n_ways=n_ways, tol=tol, method=method)
+        s = se(x, scenario)
+        pc = pc_nonlinear(x, power_params, n_ways=n_ways)
+        out["se_exact"][i] = s
+        out["ee_exact"][i] = scenario.bandwidth * s / pc
         out["ee_linear"][i] = ee_linear(x, scenario, power_params, n_ways=n_ways)
         out["ee_ideal"][i] = ee_ideal(x, scenario, power_params)
-        out["pc_watts"][i] = pc_nonlinear(x, power_params, n_ways=n_ways)
+        out["pc_watts"][i] = pc
     return out

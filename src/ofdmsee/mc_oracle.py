@@ -17,10 +17,13 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import digamma
 
+from ._common import check_loading
 from .pa_models import RappParams, rapp
 from .se_engine import (
     ChannelProfile,
-    pdf_radial,
+    _radial_window,
+    pdf_clipped,
+    pdf_unclipped_closed,
     se_lower_bound_multipath,
 )
 
@@ -105,9 +108,7 @@ def simulate_frames(config, xi, scenario, channel=None):
     complex array of n_frames * N samples. Identical arguments produce an
     identical stream regardless of batch processing order.
     """
-    xi = float(xi)
-    if not (math.isfinite(xi) and 0.0 < xi <= 1.0):
-        raise ValueError("loading factor must lie in (0, 1]")
+    xi = float(check_loading(xi))
     if channel is None:
         channel = ChannelProfile.flat()
     taps = np.asarray(channel.taps, dtype=complex)
@@ -173,18 +174,18 @@ def analytic_radial_cdf(xi, scenario, n_grid=8001):
     """CDF of the received amplitude implied by the analytic density.
 
     Returns (radii, cdf) on a grid dense enough to resolve the clip ring;
-    beyond the last radius the CDF is 1 up to a tail below 1e-9.
+    beyond the last radius the CDF is 1 up to a tail below 1e-9. The density
+    is the closed form (Marcum Q for the unclipped branch), independent of
+    the quadrature that se() integrates.
     """
-    sig = math.sqrt(scenario.noise_variance)
-    bmax = scenario.b_max
-    r_cut = bmax + 10.0 * sig
-    ring_lo = max(0.0, bmax - 12.0 * sig)
+    ring_lo, r_cut = _radial_window(scenario)
     grid = np.unique(
         np.concatenate(
             [np.linspace(0.0, r_cut, n_grid), np.linspace(ring_lo, r_cut, n_grid)]
         )
     )
-    dens = 2.0 * math.pi * grid * pdf_radial(grid, xi, scenario, method="closed")
+    pdf = pdf_unclipped_closed(grid, xi, scenario) + pdf_clipped(grid, xi, scenario)
+    dens = 2.0 * math.pi * grid * pdf
     steps = np.diff(grid) * 0.5 * (dens[1:] + dens[:-1])
     cdf = np.concatenate([[0.0], np.cumsum(steps)])
     return grid, np.minimum(cdf, 1.0)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import check_loading, scalar_like
+
 __all__ = [
     "PaSpec",
     "RappParams",
@@ -118,10 +120,7 @@ def soft_limiter(amplitude, spec):
     a = np.asarray(amplitude, dtype=float)
     if a.size and np.any(a < 0.0):
         raise ValueError("amplitudes must be non-negative")
-    out = np.minimum(math.sqrt(spec.gain) * a, spec.b_max)
-    if np.isscalar(amplitude) or np.ndim(amplitude) == 0:
-        return float(out)
-    return out
+    return scalar_like(amplitude, np.minimum(math.sqrt(spec.gain) * a, spec.b_max))
 
 
 def rapp(amplitude, params):
@@ -141,10 +140,7 @@ def rapp(amplitude, params):
         low = t * (1.0 + t**two_p) ** (-1.0 / two_p)
         t_safe = np.where(t > 1.0, t, 1.0)
         high = (1.0 + t_safe**-two_p) ** (-1.0 / two_p)
-    out = params.b_sat * np.where(t <= 1.0, low, high)
-    if np.isscalar(amplitude) or np.ndim(amplitude) == 0:
-        return float(out)
-    return out
+    return scalar_like(amplitude, params.b_sat * np.where(t <= 1.0, low, high))
 
 
 def clip_probability(xi):
@@ -153,13 +149,7 @@ def clip_probability(xi):
     With input power loaded at a fraction xi of the saturating input power,
     the Rayleigh amplitude exceeds a_max with probability exp(-1/xi).
     """
-    x = np.asarray(xi, dtype=float)
-    if x.size and (np.any(x <= 0.0) or np.any(x > 1.0)):
-        raise ValueError("loading factor must lie in (0, 1]")
-    out = np.exp(-1.0 / x)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
+    return scalar_like(xi, np.exp(-1.0 / check_loading(xi)))
 
 
 def drain_efficiency(spec):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .power_models import pc_nonlinear
-from .se_engine import se, se_ideal
+from .se_engine import se
 
 __all__ = [
     "STANDING_DRAW_PER_WATT",
@@ -23,12 +23,10 @@ __all__ = [
     "PaArm",
     "switched_arm",
     "PasConfig",
-    "TradeoffPoint",
     "FrontierPoint",
     "pa_with_loss",
     "pas_se",
     "pas_ee",
-    "pas_ee_harmonic",
     "single_pa_curve",
     "pas_frontier",
 ]
@@ -66,19 +64,17 @@ def switched_arm(spec, scenario, preset):
     own p_max_out. Its load-independent draw p_fix is
     STANDING_DRAW_PER_WATT * p_max_out: it scales with the amplifier and is
     switched off with it, unlike the preset's p_fix, which is a whole site's
-    overhead. p_idle keeps the preset's ratio to p_fix; no engine reads it.
+    overhead.
 
     STANDING_DRAW_PER_WATT = 0.96 W/W is set from the abstract's single
     high-power PA figure: with it the SM1720-50 alone, on the reference macro
     link, gains 68.1% EE at a 15% SE reduction below its max-SE point
     (abstract: 68%).
     """
-    p_fix = STANDING_DRAW_PER_WATT * spec.p_max_out
     power = replace(
         preset,
         p_max_out=spec.p_max_out,
-        p_fix=p_fix,
-        p_idle=preset.p_idle * p_fix / preset.p_fix,
+        p_fix=STANDING_DRAW_PER_WATT * spec.p_max_out,
     )
     return PaArm(spec=spec, scenario=scenario, power=power)
 
@@ -170,12 +166,10 @@ def _split_xi(xi):
     return float(xi), float(xi)
 
 
-def _arm_se(xi, config, tol, method, linear):
+def _arm_se(xi, config):
     x1, x2 = _split_xi(xi)
     s1, s2 = _arm_scenarios(config)
-    if linear:
-        return se_ideal(x1, s1), se_ideal(x2, s2)
-    return se(x1, s1, tol=tol, method=method), se(x2, s2, tol=tol, method=method)
+    return se(x1, s1), se(x2, s2)
 
 
 def _window_prefactor(config):
@@ -183,16 +177,14 @@ def _window_prefactor(config):
     return kt / (kt + config.eps_eff)
 
 
-def pas_se(xi, config, tol=1e-8, method="integral", linear=False):
+def pas_se(xi, config):
     """Schedule spectral efficiency, b/s/Hz.
 
     Frame-weighted mix of the two per-arm efficiencies (insertion loss
-    applied), derated by the dead-time prefactor K*T/(K*T + eps). With
-    linear=True the per-arm SE uses the distortion-free expression (cheap,
-    used by coarse searches). xi is one shared loading or a (low, high)
-    pair.
+    applied), derated by the dead-time prefactor K*T/(K*T + eps). xi is one
+    shared loading or a (low, high) pair.
     """
-    se1, se2 = _arm_se(xi, config, tol, method, linear)
+    se1, se2 = _arm_se(xi, config)
     kq = config.kappa_quantized
     return _window_prefactor(config) * (kq * se1 + (1.0 - kq) * se2)
 
@@ -205,14 +197,14 @@ def _arm_pc(xi, config):
     )
 
 
-def pas_ee(xi, config, tol=1e-8, method="integral", linear=False):
+def pas_ee(xi, config):
     """Schedule energy efficiency, bits per joule.
 
     Direct accounting: bits delivered over the K-frame window divided by the
     energy drawn over the elapsed window (dead time charged at the schedule's
     time-average draw; the switch itself draws nothing).
     """
-    se1, se2 = _arm_se(xi, config, tol, method, linear)
+    se1, se2 = _arm_se(xi, config)
     pc1, pc2 = _arm_pc(xi, config)
     t = config.frame_length
     f1 = config.f_ind
@@ -222,30 +214,6 @@ def pas_ee(xi, config, tol=1e-8, method="integral", linear=False):
     kt = config.frame_count * t
     energy = active_energy * (kt + config.eps_eff) / kt
     return bits / energy
-
-
-def pas_ee_harmonic(xi, config, tol=1e-8, method="integral", linear=False):
-    """Schedule energy efficiency via the weighted-combination form.
-
-    K*T*BW*pas_se over the frame-weighted active energy; algebraically equal
-    to pas_ee and kept as an independent evaluation path.
-    """
-    pc1, pc2 = _arm_pc(xi, config)
-    t = config.frame_length
-    f1 = config.f_ind
-    f2 = config.frame_count - f1
-    kt = config.frame_count * t
-    num = kt * config.pa_low.scenario.bandwidth * pas_se(xi, config, tol=tol, method=method, linear=linear)
-    return num / (f1 * t * pc1 + f2 * t * pc2)
-
-
-@dataclass(frozen=True)
-class TradeoffPoint:
-    """One (SE, EE) operating point and how it was obtained."""
-
-    se: float
-    ee: float
-    provenance: str = "exact"
 
 
 @dataclass(frozen=True)
@@ -260,12 +228,8 @@ class FrontierPoint:
     xi2: float
     feasible: bool
 
-    @property
-    def point(self):
-        return TradeoffPoint(se=self.se, ee=self.ee)
 
-
-def single_pa_curve(arm, xi_values, insertion_loss_db=0.0, n_ways=2, tol=1e-8, method="integral"):
+def single_pa_curve(arm, xi_values, insertion_loss_db=0.0, n_ways=2):
     """SE and EE of one amplifier alone over a loading grid.
 
     Returns a dict of arrays (xi, se, ee, pc_watts). By default no switch is
@@ -281,7 +245,7 @@ def single_pa_curve(arm, xi_values, insertion_loss_db=0.0, n_ways=2, tol=1e-8, m
         "pc_watts": np.empty_like(xis),
     }
     for i, x in enumerate(xis):
-        s = se(x, scen, tol=tol, method=method)
+        s = se(x, scen)
         pc = pc_nonlinear(x, arm.power, n_ways=n_ways)
         out["se"][i] = s
         out["ee"][i] = arm.scenario.bandwidth * s / pc
@@ -295,7 +259,7 @@ def _default_xi_grid():
     return np.unique(np.concatenate([coarse, mid]))
 
 
-def pas_frontier(se_targets, config, xi_mode="shared", xi_grid=None, tol=1e-8, method="integral"):
+def pas_frontier(se_targets, config, xi_mode="shared", xi_grid=None):
     """Best-EE schedules meeting each SE target.
 
     For every target, maximizes the schedule EE over the frame lattice
@@ -311,8 +275,8 @@ def pas_frontier(se_targets, config, xi_mode="shared", xi_grid=None, tol=1e-8, m
         raise ValueError("xi grid must contain at least two loadings in (0, 1]")
     s1, s2 = _arm_scenarios(config)
     n = xis.size
-    se1 = np.asarray([se(x, s1, tol=tol, method=method) for x in xis])
-    se2 = np.asarray([se(x, s2, tol=tol, method=method) for x in xis])
+    se1 = np.asarray([se(x, s1) for x in xis])
+    se2 = np.asarray([se(x, s2) for x in xis])
     pc1 = np.asarray([pc_nonlinear(x, config.pa_low.power, n_ways=config.n_ways) for x in xis])
     pc2 = np.asarray([pc_nonlinear(x, config.pa_high.power, n_ways=config.n_ways) for x in xis])
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._common import check_loading, scalar_like
+
 __all__ = [
     "PowerModelParams",
     "BS_PRESETS",
@@ -34,23 +36,19 @@ class PowerModelParams:
        switching transmitter each arm's p_fix is that amplifier's own
        standing draw (see pas_engine.switched_arm): it goes off with the
        amplifier, so only the active arm is charged for it.
-    p_idle: draw in the inactive state, watts.
     c: slope of the affine draw model, so the chain adds c * p_out watts at
        output power p_out. The full-load PA draw is therefore c * p_max_out.
     """
 
     p_max_out: float
     p_fix: float
-    p_idle: float
     c: float
 
     def __post_init__(self):
-        for field in ("p_max_out", "p_fix", "p_idle", "c"):
+        for field in ("p_max_out", "p_fix", "c"):
             v = getattr(self, field)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{field} must be finite and positive")
-        if self.p_idle > self.p_fix:
-            raise ValueError("idle draw cannot exceed the fixed active draw")
 
     @property
     def p0(self):
@@ -73,13 +71,13 @@ class PowerModelParams:
         return replace(base, **overrides) if overrides else base
 
 
-# (p_max_out W, p_fix W, p_idle W, c)
+# (p_max_out W, p_fix W, c)
 BS_PRESETS = {
-    "macro": PowerModelParams(20.0, 130.0, 75.0, 4.7),
-    "rrh": PowerModelParams(20.0, 84.0, 56.0, 2.8),
-    "micro": PowerModelParams(6.3, 56.0, 39.0, 2.6),
-    "pico": PowerModelParams(0.13, 6.8, 4.3, 4.0),
-    "femto": PowerModelParams(0.05, 4.8, 2.9, 8.0),
+    "macro": PowerModelParams(20.0, 130.0, 4.7),
+    "rrh": PowerModelParams(20.0, 84.0, 2.8),
+    "micro": PowerModelParams(6.3, 56.0, 2.6),
+    "pico": PowerModelParams(0.13, 6.8, 4.0),
+    "femto": PowerModelParams(0.05, 4.8, 8.0),
 }
 
 
@@ -87,19 +85,6 @@ def _check_ways(n_ways):
     if not isinstance(n_ways, (int, np.integer)) or n_ways < 1:
         raise ValueError("n_ways must be an integer >= 1")
     return int(n_ways)
-
-
-def _check_xi(xi):
-    x = np.asarray(xi, dtype=float)
-    if x.size and (np.any(x <= 0.0) or np.any(x > 1.0)):
-        raise ValueError("loading factor must lie in (0, 1]")
-    return x
-
-
-def _scalar_like(template, value):
-    if np.isscalar(template) or np.ndim(template) == 0:
-        return float(value)
-    return value
 
 
 def ppa_doherty(xi, p_full, n_ways=2):
@@ -110,7 +95,7 @@ def ppa_doherty(xi, p_full, n_ways=2):
     xi = 1/n_ways^2; peak efficiency pi/4 is reached both at the transition
     and at full load. n_ways=1 is a plain class-B stage.
     """
-    x = _check_xi(xi)
+    x = check_loading(xi)
     w = _check_ways(n_ways)
     if not (math.isfinite(p_full) and p_full > 0.0):
         raise ValueError("p_full must be finite and positive")
@@ -119,7 +104,7 @@ def ppa_doherty(xi, p_full, n_ways=2):
     low = scale * root
     high = scale * ((w + 1.0) * root - 1.0)
     out = np.where(x <= 1.0 / w**2, low, high)
-    return _scalar_like(xi, out)
+    return scalar_like(xi, out)
 
 
 def _phi_doherty(x, w):
@@ -131,9 +116,9 @@ def _phi_doherty(x, w):
 
 def pc_linear(xi, params):
     """Affine consumed-power model p_fix + c * xi * p_max_out."""
-    x = _check_xi(xi)
+    x = check_loading(xi)
     out = params.p_fix + params.c0 * x
-    return _scalar_like(xi, out)
+    return scalar_like(xi, out)
 
 
 def pc_nonlinear(xi, params, n_ways=2):
@@ -142,10 +127,10 @@ def pc_nonlinear(xi, params, n_ways=2):
     p_fix + c * p_max_out * phi(xi), where phi is the normalized Doherty
     draw profile. Matches pc_linear exactly at full load xi = 1.
     """
-    x = _check_xi(xi)
+    x = check_loading(xi)
     w = _check_ways(n_ways)
     out = params.p_fix + params.c0 * _phi_doherty(x, w)
-    return _scalar_like(xi, out)
+    return scalar_like(xi, out)
 
 
 def pc_ideal(xi, params, pa_gain):
@@ -155,11 +140,11 @@ def pc_ideal(xi, params, pa_gain):
     p_max_out, is consumed, derated by the class-B peak efficiency pi/4
     relative to the same c slope.
     """
-    x = _check_xi(xi)
+    x = check_loading(xi)
     if not (math.isfinite(pa_gain) and pa_gain > 1.0):
         raise ValueError("pa_gain must be finite and exceed 1")
     out = params.p_fix + (math.pi / 4.0) * params.c * (1.0 - 1.0 / pa_gain) * x * params.p_max_out
-    return _scalar_like(xi, out)
+    return scalar_like(xi, out)
 
 
 def doherty_pieces(params, n_ways=2):
@@ -199,10 +184,10 @@ def pc_custom(xi, pieces):
         lo = xi_hi
     if lo != 1.0:
         raise ValueError("pieces must end at xi = 1")
-    x = _check_xi(xi)
+    x = check_loading(xi)
     out = np.full_like(np.asarray(x, dtype=float), np.nan)
     root = np.sqrt(x)
     for xi_lo, xi_hi, v1, v2 in pieces:
         mask = (x > xi_lo) & (x <= xi_hi)
         out = np.where(mask, v1 + v2 * root, out)
-    return _scalar_like(xi, out)
+    return scalar_like(xi, out)

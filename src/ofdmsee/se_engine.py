@@ -16,13 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._common import check_loading, scalar_like
 from .specfun import (
     WBranch,
     _leggauss,
-    _marcum_q1_complement_arr,
     bessel_i0e,
     gauss_panels,
     lambert_w,
+    marcum_q1_complement,
 )
 
 __all__ = [
@@ -42,9 +43,13 @@ __all__ = [
     "multipath_equiv_gain",
     "se_lower_bound_multipath",
     "se_sweep",
+    "ENTROPY_TOL",
 ]
 
 _LN2 = math.log(2.0)
+
+# absolute tolerance of the entropy quadrature, bits
+ENTROPY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -125,13 +130,6 @@ class ChannelProfile:
         return cls(taps=(1.0 + 0.0j,))
 
 
-def _check_xi_scalar(xi):
-    xi = float(xi)
-    if not (math.isfinite(xi) and 0.0 < xi <= 1.0):
-        raise ValueError("loading factor must lie in (0, 1]")
-    return xi
-
-
 def build_scenario(g_db, alpha, d_km, noise_psd_dbm_hz, bandwidth, spec):
     """Normalize a physical link into a LinkScenario.
 
@@ -167,12 +165,6 @@ def _as_radii(r):
     return arr
 
 
-def _scalar_like(template, value):
-    if np.isscalar(template) or np.ndim(template) == 0:
-        return float(np.asarray(value).reshape(-1)[0])
-    return value
-
-
 def pdf_unclipped(r, xi, scenario, order=192):
     """Unclipped-branch density at radius r (quadrature form).
 
@@ -183,7 +175,7 @@ def pdf_unclipped(r, xi, scenario, order=192):
     centered on the Gaussian ridge of the integrand (all exponents folded to
     keep the evaluation overflow-free).
     """
-    xi = _check_xi_scalar(xi)
+    xi = float(check_loading(xi))
     rr = _as_radii(r)
     gp = scenario.signal_power(xi)
     s2 = scenario.noise_variance
@@ -208,7 +200,7 @@ def pdf_unclipped(r, xi, scenario, order=192):
         vals = rho * np.exp(expo) * bessel_i0e(2.0 * rho * rr[:, None] / s2)
     integral = np.sum(half * wq[None, :] * vals, axis=1)
     out = np.maximum(2.0 / (math.pi * gp * s2) * integral, 0.0)
-    return _scalar_like(r, out)
+    return scalar_like(r, out)
 
 
 def pdf_unclipped_closed(r, xi, scenario):
@@ -216,10 +208,10 @@ def pdf_unclipped_closed(r, xi, scenario):
 
     Product of the untruncated complex-Gaussian density of variance
     gp + sigma^2 and the complementary first-order Marcum Q term that
-    accounts for the amplitude truncation at b_max. Cross-check for
-    pdf_unclipped; the two agree to quadrature accuracy.
+    accounts for the amplitude truncation at b_max. The Monte Carlo radial
+    law uses it; pdf_unclipped agrees with it to quadrature accuracy.
     """
-    xi = _check_xi_scalar(xi)
+    xi = float(check_loading(xi))
     rr = _as_radii(r)
     gp = scenario.signal_power(xi)
     s2 = scenario.noise_variance
@@ -227,8 +219,8 @@ def pdf_unclipped_closed(r, xi, scenario):
     n0 = np.exp(-(rr**2) / total) / (math.pi * total)
     a = rr * math.sqrt(2.0 * gp / (total * s2))
     b = scenario.b_max * math.sqrt(2.0 * total / (gp * s2))
-    out = n0 * _marcum_q1_complement_arr(a, b)
-    return _scalar_like(r, out)
+    out = n0 * marcum_q1_complement(a, b)
+    return scalar_like(r, out)
 
 
 def pdf_clipped(r, xi, scenario):
@@ -239,25 +231,19 @@ def pdf_clipped(r, xi, scenario):
     probability. Exponents are folded with the scaled Bessel function so the
     evaluation never overflows.
     """
-    xi = _check_xi_scalar(xi)
+    xi = float(check_loading(xi))
     rr = _as_radii(r)
     s2 = scenario.noise_variance
     bmax = scenario.b_max
     weight = math.exp(-1.0 / xi) / (math.pi * s2)
     with np.errstate(under="ignore"):
         out = weight * np.exp(-((rr - bmax) ** 2) / s2) * bessel_i0e(2.0 * bmax * rr / s2)
-    return _scalar_like(r, out)
+    return scalar_like(r, out)
 
 
-def pdf_radial(r, xi, scenario, method="integral"):
+def pdf_radial(r, xi, scenario):
     """Total received density at radius r (both branches)."""
-    if method == "integral":
-        f0 = pdf_unclipped(r, xi, scenario)
-    elif method == "closed":
-        f0 = pdf_unclipped_closed(r, xi, scenario)
-    else:
-        raise ValueError("method must be 'integral' or 'closed'")
-    return f0 + pdf_clipped(r, xi, scenario)
+    return pdf_unclipped(r, xi, scenario) + pdf_clipped(r, xi, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -269,56 +255,62 @@ def noise_entropy(scenario):
     return math.log2(math.pi * math.e * scenario.noise_variance)
 
 
+def _radial_window(scenario):
+    """(ring_lo, r_cut): the clip ring's inner edge b_max - 12*sigma (at
+    least 0) and the radius b_max + 10*sigma where radial integrals stop."""
+    sig = math.sqrt(scenario.noise_variance)
+    bmax = scenario.b_max
+    return max(0.0, bmax - 12.0 * sig), bmax + 10.0 * sig
+
+
 def _entropy_edges(xi, scenario):
     gp = scenario.signal_power(xi)
-    s2 = scenario.noise_variance
-    sig = math.sqrt(s2)
-    bmax = scenario.b_max
-    r_cut = bmax + 10.0 * sig
-    bulk_hi = min(r_cut, 10.0 * math.sqrt(gp + s2))
+    ring_lo, r_cut = _radial_window(scenario)
+    bulk_hi = min(r_cut, 10.0 * math.sqrt(gp + scenario.noise_variance))
     parts = [np.linspace(0.0, bulk_hi, 33)]
-    ring_lo = max(0.0, bmax - 12.0 * sig)
     if ring_lo > bulk_hi:
         parts.append(np.linspace(bulk_hi, ring_lo, 9))
     parts.append(np.linspace(ring_lo, r_cut, 49))
     parts.append(np.asarray([r_cut]))
-    return np.unique(np.concatenate(parts)), r_cut
+    return np.unique(np.concatenate(parts))
 
 
-def entropy_y(xi, scenario, tol=1e-8, method="integral"):
+def entropy_y(xi, scenario):
     """Differential entropy of the received sample, bits.
 
     Radial integral of -2*pi*r*f(r)*log2 f(r) over [0, r_cut] with
     r_cut = b_max + 10*sigma; the mass beyond r_cut is bounded by the noise
     tail exp(-100) < 1e-9 since the amplified signal amplitude never exceeds
     b_max. Panels concentrate on the signal bulk and on the clip ring.
-    f(r) = 0 contributes zero (0*log 0 = 0).
+    f(r) = 0 contributes zero (0*log 0 = 0). The quadrature error check runs
+    at ENTROPY_TOL bits; gauss_panels raises IntegrationError if refinement
+    cannot meet it.
     """
-    xi = _check_xi_scalar(xi)
-    edges, _ = _entropy_edges(xi, scenario)
+    xi = float(check_loading(xi))
+    edges = _entropy_edges(xi, scenario)
 
     def integrand(radii):
-        f = pdf_radial(radii, xi, scenario, method=method)
+        f = pdf_radial(radii, xi, scenario)
         logf = np.log(np.where(f > 0.0, f, 1.0))
         return -2.0 * math.pi * radii * f * logf
 
-    h_nats = gauss_panels(integrand, edges, order=32, check=True, tol=tol * _LN2)
+    h_nats = gauss_panels(integrand, edges, order=32, check=True, tol=ENTROPY_TOL * _LN2)
     return h_nats / _LN2
 
 
-def se(xi, scenario, tol=1e-8, method="integral"):
+def se(xi, scenario):
     """Spectral efficiency in b/s/Hz: received entropy minus noise entropy.
 
     Mutual information of the memoryless clipped-plus-noise channel; clamped
     at zero (the entropy difference can dip below zero only by numerical
     error in degenerate low-SNR setups).
     """
-    return max(0.0, entropy_y(xi, scenario, tol=tol, method=method) - noise_entropy(scenario))
+    return max(0.0, entropy_y(xi, scenario) - noise_entropy(scenario))
 
 
 def se_ideal(xi, scenario):
     """Spectral efficiency of the same link with a distortion-free amplifier."""
-    xi = _check_xi_scalar(xi)
+    xi = float(check_loading(xi))
     return math.log2(1.0 + scenario.gamma * xi)
 
 
@@ -329,7 +321,7 @@ def se_ibo(xi, scenario):
     probability; accurate for loadings up to roughly 0.3 and exact in the
     deep-backoff limit.
     """
-    xi = _check_xi_scalar(xi)
+    xi = float(check_loading(xi))
     s2 = scenario.noise_variance
     base = math.log2(1.0 + scenario.gamma * xi)
     clip = math.exp(-1.0 / xi)
@@ -415,7 +407,7 @@ def multipath_equiv_gain(taps, xi, scenario):
     of all earlier ones. h'^2 is the resulting SNR, so for a single unit tap
     h'^2 = gp / sigma^2.
     """
-    xi = _check_xi_scalar(xi)
+    xi = float(check_loading(xi))
     powers = taps.powers
     gp = scenario.signal_power(xi)
     s2 = scenario.noise_variance
@@ -427,7 +419,7 @@ def multipath_equiv_gain(taps, xi, scenario):
     return math.sqrt(snr)
 
 
-def se_lower_bound_multipath(taps, xi, scenario, tol=1e-8, method="integral"):
+def se_lower_bound_multipath(taps, xi, scenario):
     """Spectral-efficiency lower bound over a multipath profile.
 
     Evaluates the flat-link spectral efficiency of an equivalent scenario
@@ -435,18 +427,18 @@ def se_lower_bound_multipath(taps, xi, scenario, tol=1e-8, method="integral"):
     h'^2 (noise := gp / h'^2), keeping the amplifier nonlinearity unchanged.
     Exact for a single unit tap.
     """
-    xi = _check_xi_scalar(xi)
+    xi = float(check_loading(xi))
     hp = multipath_equiv_gain(taps, xi, scenario)
     gp = scenario.signal_power(xi)
     equiv = replace(scenario, noise_variance=gp / hp**2)
-    return se(xi, equiv, tol=tol, method=method)
+    return se(xi, equiv)
 
 
 # ---------------------------------------------------------------------------
 # Sweeps
 
 
-def se_sweep(scenario, xi_values, tol=1e-8, method="integral"):
+def se_sweep(scenario, xi_values):
     """Evaluate the SE family over a loading grid.
 
     Returns a dict of arrays with keys xi, se_exact, se_ideal, se_ibo,
@@ -461,7 +453,7 @@ def se_sweep(scenario, xi_values, tol=1e-8, method="integral"):
         "pr_clip": np.empty_like(xis),
     }
     for i, x in enumerate(xis):
-        out["se_exact"][i] = se(x, scenario, tol=tol, method=method)
+        out["se_exact"][i] = se(x, scenario)
         out["se_ideal"][i] = se_ideal(x, scenario)
         out["se_ibo"][i] = se_ibo(x, scenario)
         out["pr_clip"][i] = math.exp(-1.0 / x)

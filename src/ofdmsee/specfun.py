@@ -1,31 +1,29 @@
 """Special functions and quadrature used by the analytic link formulas.
 
-Self-contained implementations (no scipy): modified Bessel function of the
-first kind I0 and its exponentially scaled variant, the first-order Marcum Q
-function, both real branches of the Lambert W function, and deterministic
-quadrature (adaptive Simpson plus fixed Gauss-Legendre panels for vectorized
-integrands).
+The exponentially scaled modified Bessel function of the first kind I0
+(scipy's i0e), the first-order Marcum Q function by ridge quadrature of the
+noncentral amplitude density, both real branches of the Lambert W function,
+and fixed Gauss-Legendre panels with an error check for vectorized
+integrands.
 """
 
 import enum
 import math
 
 import numpy as np
+from scipy.special import i0e as bessel_i0e  # e^{-|x|} I0(x), even in x
+
+from ._common import scalar_like
 
 __all__ = [
     "WBranch",
     "IntegrationError",
-    "bessel_i0",
     "bessel_i0e",
     "marcum_q1",
     "marcum_q1_complement",
     "lambert_w",
-    "adaptive_simpson",
-    "integrate_radial",
     "gauss_panels",
 ]
-
-_LN2 = math.log(2.0)
 
 
 class WBranch(enum.Enum):
@@ -49,97 +47,6 @@ class IntegrationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel function I0
-
-_I0_SERIES_CUT = 18.0
-_I0_SERIES_TERMS = 48
-
-# asymptotic coefficients a_k = ((2k-1)!!)^2 / (k! 8^k)
-_I0_ASYM = [1.0]
-for _k in range(1, 24):
-    _I0_ASYM.append(_I0_ASYM[-1] * (2 * _k - 1) ** 2 / (8.0 * _k))
-
-
-def _i0_series(x):
-    # sum_k ((x/2)^(2k) / (k!)^2, Horner from the top; all terms positive
-    u = 0.25 * x * x
-    s = np.ones_like(x)
-    for k in range(_I0_SERIES_TERMS, 0, -1):
-        s = 1.0 + s * u / (k * k)
-    return s
-
-
-def _i0e_asym(x):
-    # e^{-x} I0(x) ~ (2 pi x)^{-1/2} sum_k a_k x^{-k}, truncated; the series
-    # is accurate to ~1e-14 relative for x >= 18
-    inv = 1.0 / x
-    s = np.full_like(x, _I0_ASYM[-1])
-    for a in reversed(_I0_ASYM[:-1]):
-        s = a + s * inv
-    return s / np.sqrt(2.0 * np.pi * x)
-
-
-def bessel_i0e(x):
-    """Exponentially scaled modified Bessel function e^{-|x|} I0(x).
-
-    Accepts scalars or arrays; safe for very large arguments where I0 itself
-    overflows. I0 is even, so negative arguments fold onto |x|.
-    """
-    arr = np.abs(np.asarray(x, dtype=float))
-    if arr.size and np.any(~np.isfinite(arr)):
-        raise ValueError("bessel_i0e requires finite x")
-    small = arr <= _I0_SERIES_CUT
-    out = np.empty_like(arr)
-    if np.any(small):
-        xs = arr[small]
-        out[small] = _i0_series(xs) * np.exp(-xs)
-    if np.any(~small):
-        out[~small] = _i0e_asym(arr[~small])
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def bessel_i0(x):
-    """Modified Bessel function of the first kind, order zero.
-
-    Even in x; overflows to inf near |x| ~ 710. Use bessel_i0e for large
-    arguments.
-    """
-    arr = np.abs(np.asarray(x, dtype=float))
-    if arr.size and np.any(~np.isfinite(arr)):
-        raise ValueError("bessel_i0 requires finite x")
-    small = arr <= _I0_SERIES_CUT
-    out = np.empty_like(arr)
-    if np.any(small):
-        out[small] = _i0_series(arr[small])
-    if np.any(~small):
-        xl = arr[~small]
-        with np.errstate(over="ignore"):
-            out[~small] = _i0e_asym(xl) * np.exp(xl)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def _bessel_ik_small(k, x):
-    # I_k(x) by its power series; adequate for the Marcum series gate x < 30
-    half = 0.5 * x
-    term = 1.0
-    for j in range(1, k + 1):
-        term *= half / j
-    s = term
-    u = half * half
-    m = 1
-    while True:
-        term *= u / (m * (m + k))
-        s += term
-        if term < 1e-18 * s or m > 400:
-            return s
-        m += 1
-
-
-# ---------------------------------------------------------------------------
 # Marcum Q1
 
 _GL_CACHE = {}
@@ -151,114 +58,39 @@ def _leggauss(order):
     return _GL_CACHE[order]
 
 
-def _rician_ridge_integral(a, lo, hi, order=240):
-    """integral of x exp(-(x-a)^2/2) i0e(a x) over [lo, hi] (unit scale)."""
-    if hi <= lo:
-        return 0.0
-    t, w = _leggauss(order)
-    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * t
-    wx = 0.5 * (hi - lo) * w
-    with np.errstate(under="ignore"):
-        vals = x * np.exp(-0.5 * (x - a) ** 2) * bessel_i0e(a * x)
-    return float(np.sum(wx * vals))
-
-
-def _q1_series(a, b, k_start=0):
-    """Bessel series exp(-(a^2+b^2)/2) sum_{k>=k_start} (a/b)^k I_k(ab).
-
-    Requires 0 < a <= b so the powers decay; exponents folded as
-    exp(-(a-b)^2/2) exp(-ab) to avoid overflow of the raw sum.
-    """
-    ab = a * b
-    ratio = a / b
-    s = 0.0
-    rk = ratio**k_start
-    for k in range(k_start, 400):
-        t = rk * _bessel_ik_small(k, ab)
-        s += t
-        if k > k_start + 4 and t < 1e-18 * s:
-            break
-        rk *= ratio
-    return math.exp(-0.5 * (a - b) ** 2) * math.exp(-ab) * s
-
-
-def marcum_q1(a, b):
-    """First-order Marcum Q function Q1(a, b) for a, b >= 0.
-
-    Bessel series for moderate arguments (a*b < 30), quadrature of the
-    noncentral amplitude density otherwise. When a > b the series runs on
-    the swapped pair through Q1(a,b) + Q1(b,a) = 1 + exp(-(a^2+b^2)/2)
-    I0(ab), keeping the power ratio below one. Result clamped to [0, 1].
-    """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a < 0.0 or b < 0.0:
-        raise ValueError("marcum_q1 requires finite a, b >= 0")
-    if b == 0.0:
-        return 1.0
-    if a == 0.0:
-        return math.exp(-0.5 * b * b)
-    ab = a * b
-    if ab < 30.0:
-        if a <= b:
-            q = _q1_series(a, b)
-        else:
-            cross = math.exp(-0.5 * (a - b) ** 2) * bessel_i0e(ab)
-            q = 1.0 - _q1_series(b, a) + cross
-        return min(1.0, max(0.0, q))
-    # ridge of the noncentral density sits at x ~ a with unit width
-    lo = max(b, a - 42.0)
-    hi = max(a, b) + 42.0
-    q = _rician_ridge_integral(a, lo, min(hi, lo + 120.0))
-    return min(1.0, max(0.0, q))
-
-
 def marcum_q1_complement(a, b):
-    """1 - Q1(a, b), computed directly for accuracy when the complement is small."""
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a < 0.0 or b < 0.0:
-        raise ValueError("marcum_q1_complement requires finite a, b >= 0")
-    if b == 0.0:
-        return 0.0
-    if a == 0.0:
-        return -math.expm1(-0.5 * b * b)
-    if a * b < 30.0:
-        if a <= b:
-            return min(1.0, max(0.0, 1.0 - _q1_series(a, b)))
-        # small-tail form: 1 - Q1(a,b) = exp(-(a^2+b^2)/2) sum_{k>=1}
-        # (b/a)^k I_k(ab), free of cancellation
-        return min(1.0, max(0.0, _q1_series(b, a, k_start=1)))
-    hi = min(b, a + 42.0)
-    lo = max(0.0, min(hi, a - 42.0) - 84.0) if hi < a - 42.0 else max(0.0, a - 42.0)
-    c = _rician_ridge_integral(a, lo, hi)
-    return min(1.0, max(0.0, c))
+    """1 - Q1(a, b) for a >= 0 (scalar or array) and a scalar b >= 0.
 
-
-def _marcum_q1_complement_arr(a, b, order=240):
-    """1 - Q1(a_i, b) for an array of a >= 0 and a scalar b >= 0.
-
-    Ridge quadrature of the noncentral amplitude density on the window where
-    it carries mass; accurate across regimes because the window always covers
-    the part of [0, b] within ~42 units of the ridge at x = a.
+    Ridge quadrature of the noncentral amplitude density
+    x exp(-(x-a)^2/2) i0e(a x) over [0, b], restricted to the window where it
+    carries mass; accurate across regimes because the window always covers
+    the part of [0, b] within ~42 units of the ridge at x = a. A small
+    complement is integrated directly and keeps its relative accuracy.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    arr = np.atleast_1d(np.asarray(a, dtype=float))
     b = float(b)
-    if np.any(~np.isfinite(a)) or np.any(a < 0.0) or not math.isfinite(b) or b < 0.0:
-        raise ValueError("marcum complement requires finite a, b >= 0")
-    if b == 0.0:
-        return np.zeros_like(a)
-    hi = np.minimum(b, a + 42.0)
-    lo = np.where(b < a - 42.0, np.maximum(0.0, b - 84.0), np.maximum(0.0, a - 42.0))
+    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or not math.isfinite(b) or b < 0.0:
+        raise ValueError("marcum_q1 requires finite a, b >= 0")
+    hi = np.minimum(b, arr + 42.0)
+    lo = np.where(b < arr - 42.0, np.maximum(0.0, b - 84.0), np.maximum(0.0, arr - 42.0))
     hi = np.maximum(hi, lo)
-    t, w = _leggauss(order)
+    t, w = _leggauss(240)
     mid = 0.5 * (hi + lo)[:, None]
     half = 0.5 * (hi - lo)[:, None]
     x = mid + half * t[None, :]
     with np.errstate(under="ignore"):
-        vals = x * np.exp(-0.5 * (x - a[:, None]) ** 2) * bessel_i0e(a[:, None] * x)
+        vals = x * np.exp(-0.5 * (x - arr[:, None]) ** 2) * bessel_i0e(arr[:, None] * x)
     c = np.sum(half * w[None, :] * vals, axis=1)
-    return np.clip(c, 0.0, 1.0)
+    return scalar_like(a, np.clip(c, 0.0, 1.0))
+
+
+def marcum_q1(a, b):
+    """First-order Marcum Q function Q1(a, b) = 1 - marcum_q1_complement(a, b).
+
+    Accurate in absolute terms (about 1e-14); a Q1 far below that, deep in
+    the upper tail b >> a, reads as 0.
+    """
+    return 1.0 - marcum_q1_complement(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -353,73 +185,6 @@ def lambert_w(q, branch=WBranch.PRINCIPAL):
 
 # ---------------------------------------------------------------------------
 # Quadrature
-
-
-def adaptive_simpson(f, a, b, tol=1e-10, max_depth=40):
-    """Adaptive Simpson quadrature of a scalar function on [a, b].
-
-    Interval halving down to max_depth; raises IntegrationError (carrying the
-    best estimate and its error bound) if the tolerance cannot be met.
-    """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("adaptive_simpson requires finite limits")
-    if a == b:
-        return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    total = 0.0
-    worst = 0.0
-    failed = False
-    # stack entries: (a, b, fa, fm, fb, whole, tol, depth)
-    stack = [(a, b, fa, fm, fb, whole, tol, 0)]
-    while stack:
-        xa, xb, ya, ym, yb, s0, t, depth = stack.pop()
-        xm = 0.5 * (xa + xb)
-        xl = 0.5 * (xa + xm)
-        xr = 0.5 * (xm + xb)
-        yl = f(xl)
-        yr = f(xr)
-        sl = (xm - xa) * (ya + 4.0 * yl + ym) / 6.0
-        sr = (xb - xm) * (ym + 4.0 * yr + yb) / 6.0
-        err = (sl + sr - s0) / 15.0
-        if abs(err) <= t or depth >= max_depth:
-            total += sl + sr + err
-            if abs(err) > t:
-                failed = True
-                worst += abs(err)
-        else:
-            stack.append((xa, xm, ya, yl, ym, sl, 0.5 * t, depth + 1))
-            stack.append((xm, xb, ym, yr, yb, sr, 0.5 * t, depth + 1))
-    if failed:
-        raise IntegrationError(
-            "adaptive Simpson failed to converge at depth %d" % max_depth,
-            estimate=total,
-            error_bound=worst,
-        )
-    return total
-
-
-def integrate_radial(f, r_max, tol=1e-10, initial_panels=16):
-    """Integrate a radial function over [0, r_max] (adaptive Simpson).
-
-    The integrand f(r) is expected to carry its own Jacobian (e.g. 2*pi*r*pdf
-    for a density on the plane) and be integrable on [0, r_max]. The interval
-    is pre-split into initial_panels pieces so narrow features far from the
-    endpoints cannot slip between the first Simpson nodes.
-    """
-    r_max = float(r_max)
-    if not math.isfinite(r_max) or r_max <= 0.0:
-        raise ValueError("integrate_radial requires finite r_max > 0")
-    if initial_panels < 1:
-        raise ValueError("integrate_radial requires initial_panels >= 1")
-    edges = np.linspace(0.0, r_max, initial_panels + 1)
-    piece_tol = tol / initial_panels
-    return sum(
-        adaptive_simpson(f, float(a), float(b), tol=piece_tol)
-        for a, b in zip(edges[:-1], edges[1:])
-    )
 
 
 def gauss_panels(f, edges, order=32, check=True, tol=None, max_refine=3):

@@ -20,6 +20,7 @@ from ofdmsee import (
     ee_sweep,
     pareto_window,
     pc_nonlinear,
+    se,
     se_ideal,
     xi_ee_opt,
     xi_se_opt,
@@ -45,6 +46,11 @@ class TestEeValues:
             e_ideal = ee_ideal(xi, scenario, macro_power)
             assert e_exact <= e_lin * (1 + 1e-12)
             assert e_lin <= e_ideal * (1 + 1e-12)
+
+    def test_rejects_out_of_range_loading(self, scenario, macro_power):
+        for bad in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                ee(bad, scenario, macro_power)
 
     def test_breakdown_fields(self, scenario, macro_power):
         b = ee_breakdown(0.4, scenario, macro_power)
@@ -188,7 +194,7 @@ class TestSweep:
     def test_columns(self, scenario, macro_power):
         grid = np.asarray([0.1, 0.25, 0.7])
         data = ee_sweep(scenario, macro_power, grid)
-        assert set(data) == {"xi", "ee_exact", "ee_linear", "ee_ideal", "pc_watts"}
+        assert set(data) == {"xi", "se_exact", "ee_exact", "ee_linear", "ee_ideal", "pc_watts"}
         assert data["pc_watts"][1] == pytest.approx(
             pc_nonlinear(0.25, macro_power, n_ways=2), rel=1e-12
         )
@@ -197,3 +203,4 @@ class TestSweep:
         grid = np.asarray([0.3])
         data = ee_sweep(scenario, macro_power, grid)
         assert data["ee_exact"][0] == pytest.approx(ee(0.3, scenario, macro_power), rel=1e-10)
+        assert data["se_exact"][0] == pytest.approx(se(0.3, scenario), rel=1e-10)

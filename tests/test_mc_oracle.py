@@ -84,6 +84,11 @@ class TestSimulateFrames:
         b = simulate_frames(cfg, 0.2, scenario, channel=ChannelProfile.flat())
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
+    def test_rejects_out_of_range_loading(self, scenario):
+        for bad in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                simulate_frames(make_config(n_frames=1), bad, scenario)
+
     def test_cp_shorter_than_channel_rejected(self, scenario):
         taps = tuple(np.sqrt([0.5, 0.3, 0.2]).astype(complex))
         with pytest.raises(ValueError):

@@ -109,6 +109,8 @@ class TestClipProbability:
             clip_probability(0.0)
         with pytest.raises(ValueError):
             clip_probability(1.5)
+        with pytest.raises(ValueError):
+            clip_probability(math.nan)
 
 
 class TestDatasheet:

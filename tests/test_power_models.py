@@ -20,17 +20,15 @@ from ofdmsee import (
 class TestPresets:
     def test_table_values(self):
         macro = BS_PRESETS["macro"]
-        assert (macro.p_max_out, macro.p_fix, macro.p_idle, macro.c) == (20.0, 130.0, 75.0, 4.7)
+        assert (macro.p_max_out, macro.p_fix, macro.c) == (20.0, 130.0, 4.7)
         assert BS_PRESETS["femto"].p_max_out == pytest.approx(0.05)
         assert set(BS_PRESETS) == {"macro", "rrh", "micro", "pico", "femto"}
 
-    def test_idle_below_fixed(self):
-        for params in BS_PRESETS.values():
-            assert params.p_idle <= params.p_fix
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            PowerModelParams(p_max_out=10.0, p_fix=5.0, p_idle=6.0, c=2.0)
+            PowerModelParams(p_max_out=10.0, p_fix=5.0, c=-2.0)
+        with pytest.raises(ValueError):
+            PowerModelParams(p_max_out=10.0, p_fix=math.nan, c=2.0)
 
     def test_from_preset_overrides(self):
         p = PowerModelParams.from_preset("macro", p_max_out=25.0)
@@ -87,6 +85,16 @@ class TestConsumption:
         assert pc_linear(1.0, params) == pytest.approx(params.p_fix + params.c0)
         with pytest.raises(ValueError):
             pc_linear(0.0, params)
+        with pytest.raises(ValueError):
+            pc_linear(math.nan, params)
+
+    def test_rejects_out_of_range_loading(self):
+        params = BS_PRESETS["macro"]
+        for bad in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                pc_nonlinear(bad, params)
+            with pytest.raises(ValueError):
+                ppa_doherty(bad, 20.0)
 
     @pytest.mark.parametrize("kind", sorted(BS_PRESETS))
     def test_ideal_never_above_nonlinear(self, kind):

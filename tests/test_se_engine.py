@@ -54,7 +54,7 @@ class TestRadialPdf:
         from ofdmsee.se_engine import _entropy_edges
         from ofdmsee.specfun import gauss_panels
 
-        edges, _ = _entropy_edges(xi, scenario)
+        edges = _entropy_edges(xi, scenario)
         f = lambda r: 2 * np.pi * r * pdf_radial(r, xi, scenario)
         mass = gauss_panels(f, edges, order=32, check=True, tol=1e-9)
         assert mass == pytest.approx(1.0, abs=1e-6)
@@ -64,7 +64,7 @@ class TestRadialPdf:
         from ofdmsee.se_engine import _entropy_edges
         from ofdmsee.specfun import gauss_panels
 
-        edges, _ = _entropy_edges(xi, scenario)
+        edges = _entropy_edges(xi, scenario)
         pclip = clip_probability(xi)
         m0 = gauss_panels(
             lambda r: 2 * np.pi * r * pdf_unclipped(r, xi, scenario),
@@ -122,20 +122,17 @@ class TestRadialPdf:
         peak = r[np.argmax(f)]
         assert peak == pytest.approx(scenario.b_max, rel=1e-2)
 
-    def test_method_dispatch(self, scenario):
-        r = np.linspace(0, scenario.b_max, 8)
-        a = pdf_radial(r, 0.2, scenario, method="integral")
-        b = pdf_radial(r, 0.2, scenario, method="closed")
-        np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-15)
-        with pytest.raises(ValueError):
-            pdf_radial(r, 0.2, scenario, method="other")
-
 
 class TestSpectralEfficiency:
     def test_frozen_reference_points(self, scenario):
         assert se(0.1, scenario) == pytest.approx(13.71324626096657, abs=1e-6)
         assert se(0.25, scenario) == pytest.approx(14.932438933859284, abs=1e-6)
         assert entropy_y(0.25, scenario) == pytest.approx(5.642059563067989, abs=1e-6)
+
+    def test_rejects_out_of_range_loading(self, scenario):
+        for bad in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                se(bad, scenario)
 
     def test_never_exceeds_linear_channel(self, scenario):
         for xi in (0.02, 0.1, 0.3, 0.7, 1.0):
