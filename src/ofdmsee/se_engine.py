@@ -19,7 +19,7 @@ import numpy as np
 from ._common import check_loading, scalar_like
 from .specfun import (
     WBranch,
-    _leggauss,
+    _row_quadrature,
     bessel_i0e,
     gauss_panels,
     lambert_w,
@@ -50,6 +50,10 @@ _LN2 = math.log(2.0)
 
 # absolute tolerance of the entropy quadrature, bits
 ENTROPY_TOL = 1e-8
+
+# Gauss-Legendre nodes of pdf_unclipped's amplitude integral over its
+# +-16-width ridge window
+_RIDGE_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -165,15 +169,18 @@ def _as_radii(r):
     return arr
 
 
-def pdf_unclipped(r, xi, scenario, order=192):
+def pdf_unclipped(r, xi, scenario):
     """Unclipped-branch density at radius r (quadrature form).
 
     Joint density of the received sample and the event that the input stayed
     below the clip level: the signal amplitude is a truncated Rayleigh on
-    [0, b_max], smeared by complex noise. Evaluated as a windowed
-    Gauss-Legendre integral over the signal amplitude, with the window
-    centered on the Gaussian ridge of the integrand (all exponents folded to
-    keep the evaluation overflow-free).
+    [0, b_max], smeared by complex noise. Evaluated by a 64-node
+    (_RIDGE_NODES) Gauss-Legendre rule over the signal amplitude, on a window
+    centered on the Gaussian ridge of the integrand, 16 ridge widths to each
+    side (all exponents folded to keep the evaluation overflow-free). Radii
+    are integrated in blocks of 64 (specfun._row_quadrature, shared with the
+    Marcum Q1 complement), so the temporaries stay small however many radii
+    a call is given.
     """
     xi = float(check_loading(xi))
     rr = _as_radii(r)
@@ -191,14 +198,14 @@ def pdf_unclipped(r, xi, scenario, order=192):
         # amplitude range contributes
         lo = np.where(beyond, max(0.0, bmax - 32.0 * w), lo)
         hi = np.where(beyond, bmax, hi)
-    t, wq = _leggauss(order)
-    mid = 0.5 * (hi + lo)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    rho = mid + half * t[None, :]
+
+    def ridge(rho, rows):
+        r_col = rr[rows, None]
+        expo = -(rho**2) / gp - (rho - r_col) ** 2 / s2
+        return rho * np.exp(expo) * bessel_i0e(2.0 * rho * r_col / s2)
+
     with np.errstate(under="ignore"):
-        expo = -(rho**2) / gp - (rho - rr[:, None]) ** 2 / s2
-        vals = rho * np.exp(expo) * bessel_i0e(2.0 * rho * rr[:, None] / s2)
-    integral = np.sum(half * wq[None, :] * vals, axis=1)
+        integral = _row_quadrature(ridge, lo, hi, _RIDGE_NODES)
     out = np.maximum(2.0 / (math.pi * gp * s2) * integral, 0.0)
     return scalar_like(r, out)
 

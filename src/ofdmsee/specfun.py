@@ -3,8 +3,9 @@
 The exponentially scaled modified Bessel function of the first kind I0
 (scipy's i0e), the first-order Marcum Q function by ridge quadrature of the
 noncentral amplitude density, both real branches of the Lambert W function,
-and fixed Gauss-Legendre panels with an error check for vectorized
-integrands.
+fixed Gauss-Legendre panels with an error check for vectorized integrands,
+and the blocked per-row Gauss-Legendre rule that both Bessel-kernel
+integrals (Marcum Q1 here, the unclipped density in se_engine) run on.
 """
 
 import enum
@@ -47,15 +48,45 @@ class IntegrationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Marcum Q1
+# Row quadrature
 
 _GL_CACHE = {}
+
+# rows integrated together by _row_quadrature: a block's temporaries are
+# _BLOCK_ROWS x order doubles (tens of KB), so they stay in cache and reuse
+# the allocator's pages instead of faulting in fresh ones per call
+_BLOCK_ROWS = 64
 
 
 def _leggauss(order):
     if order not in _GL_CACHE:
         _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
     return _GL_CACHE[order]
+
+
+def _row_quadrature(integrand, lo, hi, order):
+    """Integral of each row i over [lo[i], hi[i]], order-node Gauss-Legendre.
+
+    integrand(x, rows) receives the abscissae of the rows selected by the
+    slice `rows` as an array of shape (block, order) and returns the values
+    there, same shape. Rows go in blocks of _BLOCK_ROWS. Each row is reduced
+    on its own (einsum, not BLAS gemv, whose summation order depends on the
+    row's place in the block), so a row's integral does not depend on which
+    other rows share its call.
+    """
+    t, w = _leggauss(order)
+    out = np.empty(lo.shape)
+    for start in range(0, lo.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        mid = 0.5 * (hi[rows] + lo[rows])
+        half = 0.5 * (hi[rows] - lo[rows])
+        x = mid[:, None] + half[:, None] * t
+        out[rows] = half * np.einsum("ij,j->i", integrand(x, rows), w)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Marcum Q1
 
 
 def marcum_q1_complement(a, b):
@@ -74,13 +105,13 @@ def marcum_q1_complement(a, b):
     hi = np.minimum(b, arr + 42.0)
     lo = np.where(b < arr - 42.0, np.maximum(0.0, b - 84.0), np.maximum(0.0, arr - 42.0))
     hi = np.maximum(hi, lo)
-    t, w = _leggauss(240)
-    mid = 0.5 * (hi + lo)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    x = mid + half * t[None, :]
+
+    def density(x, rows):
+        ar = arr[rows, None]
+        return x * np.exp(-0.5 * (x - ar) ** 2) * bessel_i0e(ar * x)
+
     with np.errstate(under="ignore"):
-        vals = x * np.exp(-0.5 * (x - arr[:, None]) ** 2) * bessel_i0e(arr[:, None] * x)
-    c = np.sum(half * w[None, :] * vals, axis=1)
+        c = _row_quadrature(density, lo, hi, 240)
     return scalar_like(a, np.clip(c, 0.0, 1.0))
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from ofdmsee import BS_PRESETS, build_scenario, find_pa, switched_arm
+from ofdmsee import BS_PRESETS, LinkScenario, build_scenario, find_pa, switched_arm
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +26,21 @@ def scenario(pa_low):
 @pytest.fixture(scope="session")
 def scenario_high(pa_high):
     return build_scenario(5.0, 3.76, 0.2, -174.0, 1e7, pa_high)
+
+
+@pytest.fixture(scope="session")
+def snr_scenario():
+    """Factory of 20 W links by peak SNR in dB, for sweeps over the SNR axis."""
+
+    def make(gamma_db):
+        return LinkScenario(
+            bandwidth=1e7,
+            noise_variance=20.0 / 10.0 ** (gamma_db / 10.0),
+            gain=1e5,
+            p_max_out=20.0,
+        )
+
+    return make
 
 
 @pytest.fixture(scope="session")

@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from ofdmsee import (
     ChannelProfile,
     build_scenario,
     clip_probability,
     entropy_y,
+    find_pa,
     multipath_equiv_gain,
     noise_entropy,
     pdf_clipped,
@@ -24,6 +26,65 @@ from ofdmsee import (
     se_lower_bound_multipath,
     se_sweep,
     xi_se_opt,
+)
+from ofdmsee.se_engine import _entropy_edges
+from ofdmsee.specfun import _BLOCK_ROWS
+
+
+def pdf_unclipped_256(r, xi, scenario):
+    """pdf_unclipped's ridge integral at 256 Gauss-Legendre nodes, an oracle
+    for its 64-node rule.
+
+    Same window (16 ridge widths to each side of the ridge, kept inside
+    [0, b_max]) and same integrand, four times the nodes, all radii in one
+    unblocked pass.
+    """
+    r = np.asarray(r, dtype=float)
+    gp = scenario.signal_power(xi)
+    s2 = scenario.noise_variance
+    bmax = scenario.b_max
+    rho_star = r * gp / (gp + s2)
+    w = math.sqrt(gp * s2 / (2.0 * (gp + s2)))
+    lo = np.maximum(0.0, rho_star - 16.0 * w)
+    hi = np.minimum(bmax, rho_star + 16.0 * w)
+    beyond = lo >= bmax
+    lo = np.where(beyond, max(0.0, bmax - 32.0 * w), lo)
+    hi = np.where(beyond, bmax, hi)
+    t, wq = np.polynomial.legendre.leggauss(256)
+    half = 0.5 * (hi - lo)[:, None]
+    rho = 0.5 * (hi + lo)[:, None] + half * t
+    rc = r[:, None]
+    with np.errstate(under="ignore"):
+        vals = rho * np.exp(-(rho**2) / gp - (rho - rc) ** 2 / s2)
+        vals *= scipy.special.i0e(2.0 * rho * rc / s2)
+    return 2.0 / (math.pi * gp * s2) * np.sum(half * wq * vals, axis=1)
+
+
+# se(xi) on the reference macro link (G = 5 dB, alpha = 3.76, -174 dBm/Hz,
+# 10 MHz) at (PA, distance in km, xi), peak SNR from +100 to -24 dB, as the
+# 192-node, unblocked density computed it before its inner rule became
+# 64 nodes
+SE_FINGERPRINT = (
+    ("SM2122-44L", 0.0102, 0.3, 30.950820685544578),  # 99.9 dB
+    ("SM1720-50", 0.015, 0.001, 23.1136332392864),  # 99.6 dB
+    ("SM2122-44L", 0.02, 0.7, 25.86048226946381),  # 88.9 dB
+    ("SM1720-50", 0.035, 0.05, 24.161293824533345),  # 85.7 dB
+    ("SM2122-44L", 0.05, 1.0, 20.441411585459417),  # 73.9 dB
+    ("SM1720-50", 0.08, 0.01, 17.355028783735893),  # 72.2 dB
+    ("SM2122-44L", 0.12, 0.1, 16.48409053500812),  # 59.6 dB
+    ("SM1720-50", 0.2, 1e-06, 0.6179763811220145),  # 57.3 dB
+    ("SM2122-44L", 0.3, 0.3, 12.924963031058045),  # 44.7 dB
+    ("SM1720-50", 0.5, 0.001, 4.174392600105193),  # 42.3 dB
+    ("SM2122-44L", 0.8, 0.7, 8.116034757426881),  # 28.6 dB
+    ("SM1720-50", 1.2, 0.05, 5.0318282032243165),  # 28.0 dB
+    ("SM2122-44L", 2.0, 1.0, 3.7558485478692023),  # 13.7 dB
+    ("SM1720-50", 3.0, 0.01, 0.2658126872975073),  # 13.1 dB
+    ("SM2122-44L", 5.0, 0.1, 0.10359566958392286),  # -1.3 dB
+    ("SM1720-50", 8.0, 1e-06, 7.303920401824371e-07),  # -3.0 dB
+    ("SM2122-44L", 12.0, 0.3, 0.011509717126571672),  # -15.6 dB
+    ("SM1720-50", 17.0, 0.001, 4.292201806421758e-05),  # -15.3 dB
+    ("SM2122-44L", 20.0, 0.7, 0.0031113177686687976),  # -23.9 dB
+    ("SM1720-50", 25.0, 0.05, 0.0005032854272144505),  # -21.6 dB
 )
 
 
@@ -115,6 +176,32 @@ class TestRadialPdf:
             got = float(pdf_unclipped(r, xi, scenario))
             assert got == pytest.approx(ref, rel=1e-7, abs=1e-12), r
 
+    def test_inner_rule_against_256_nodes(self, snr_scenario):
+        # 64 nodes reach 3e-11 here; 48 would miss the bound at 4e-8
+        worst = 0.0
+        for gamma_db in np.arange(-30.0, 101.0, 10.0):
+            sc = snr_scenario(gamma_db)
+            for xi in (1e-6, 1e-3, 0.01, 0.1, 0.3, 0.7, 1.0):
+                edges = _entropy_edges(xi, sc)
+                r = np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])
+                got = pdf_unclipped(r, xi, sc)
+                ref = pdf_unclipped_256(r, xi, sc)
+                keep = ref > 1e-12 * ref.max()
+                err = np.max(np.abs(got[keep] - ref[keep]) / ref[keep])
+                assert err <= 1e-9, (gamma_db, xi, err)
+                worst = max(worst, err)
+        assert worst > 0.0
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 1000])
+    def test_blocked_radii_match_scalar_calls(self, n, scenario):
+        xi = 0.3
+        r = np.linspace(0.0, 1.2 * scenario.b_max, n)
+        got = pdf_unclipped(r, xi, scenario)
+        assert got.shape == r.shape
+        one = [pdf_unclipped(float(ri), xi, scenario) for ri in r]
+        assert all(isinstance(v, float) for v in one)
+        np.testing.assert_allclose(got, one, rtol=1e-15, atol=0.0)
+
     def test_clipped_branch_is_a_ring(self, scenario):
         xi = 0.8
         r = np.linspace(0.0, scenario.b_max + 8 * math.sqrt(scenario.noise_variance), 600)
@@ -128,6 +215,12 @@ class TestSpectralEfficiency:
         assert se(0.1, scenario) == pytest.approx(13.71324626096657, abs=1e-6)
         assert se(0.25, scenario) == pytest.approx(14.932438933859284, abs=1e-6)
         assert entropy_y(0.25, scenario) == pytest.approx(5.642059563067989, abs=1e-6)
+
+    def test_fingerprint(self):
+        for model, d_km, xi, want in SE_FINGERPRINT:
+            sc = build_scenario(5.0, 3.76, d_km, -174.0, 1e7, find_pa(model))
+            err = abs(se(xi, sc) - want)
+            assert err <= 1e-10, (model, d_km, xi, err)
 
     def test_rejects_out_of_range_loading(self, scenario):
         for bad in (0.0, 1.5, math.nan):

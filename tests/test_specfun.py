@@ -16,6 +16,7 @@ from ofdmsee import (
     marcum_q1,
     marcum_q1_complement,
 )
+from ofdmsee.specfun import _BLOCK_ROWS
 
 
 def scipy_marcum_q1(a, b):
@@ -78,6 +79,15 @@ class TestMarcumQ1:
         assert got.shape == a.shape
         for ai, ci in zip(a, got):
             assert ci == marcum_q1_complement(float(ai), 9.0)
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 1000])
+    def test_blocked_a_matches_scalar_calls(self, n):
+        a = np.linspace(0.0, 60.0, n)
+        got = marcum_q1_complement(a, 9.0)
+        assert got.shape == a.shape
+        one = [marcum_q1_complement(float(ai), 9.0) for ai in a]
+        assert all(isinstance(v, float) for v in one)
+        np.testing.assert_allclose(got, one, rtol=1e-15, atol=0.0)
 
     def test_complement_tiny_tail_region(self):
         # far into the right tail Q1 -> 1 and the complement must stay
