@@ -19,6 +19,7 @@ from ofdmsee import (
     pas_ee,
     pas_frontier,
     pas_se,
+    se_memo,
     single_pa_curve,
     switched_arm,
 )
@@ -66,4 +67,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    # one memo for the run: each of the kappa table's pas_se/pas_ee calls
+    # needs the same two per-arm SE points, now computed once
+    with se_memo():
+        main()

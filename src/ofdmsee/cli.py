@@ -26,7 +26,7 @@ from .pa_models import (
 )
 from .pas_engine import Duplex, PasConfig, pas_frontier, switched_arm
 from .power_models import BS_PRESETS
-from .se_engine import build_scenario, se, se_ibo, se_sweep, xi_se_opt
+from .se_engine import build_scenario, se, se_ibo, se_memo, se_sweep, xi_se_opt
 
 _FIGURES = {
     "se-sweep": "se-vs-loading",
@@ -506,7 +506,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # one memo per invocation: the pas-frontier probe and its variants
+        # share their SE curves
+        with se_memo():
+            return _COMMANDS[args.command](args)
     except Exception as exc:  # fail with a machine-readable record
         record = {
             "error": type(exc).__name__,

@@ -10,6 +10,8 @@ Radial convention: densities are over the complex plane, evaluated at radius
 r = |y|; masses are recovered as integral of 2*pi*r*f(r).
 """
 
+import contextlib
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -37,6 +39,7 @@ __all__ = [
     "noise_entropy",
     "entropy_y",
     "se",
+    "se_memo",
     "se_ideal",
     "se_ibo",
     "xi_se_opt",
@@ -54,6 +57,10 @@ ENTROPY_TOL = 1e-8
 # Gauss-Legendre nodes of pdf_unclipped's amplitude integral over its
 # +-16-width ridge window
 _RIDGE_NODES = 64
+
+# se() results of the open se_memo() scope, keyed on (xi, scenario); None
+# outside any scope
+_SE_MEMO = contextvars.ContextVar("se_memo", default=None)
 
 
 @dataclass(frozen=True)
@@ -305,14 +312,43 @@ def entropy_y(xi, scenario):
     return h_nats / _LN2
 
 
+@contextlib.contextmanager
+def se_memo():
+    """Share se() results among the calls made inside a with-block.
+
+    The memo lives in a context variable: a nested block reuses the outer
+    block's memo, and the memo is dropped when the outermost block exits,
+    so no result outlives it (nor reaches another thread or context).
+    """
+    if _SE_MEMO.get() is not None:
+        yield
+        return
+    token = _SE_MEMO.set({})
+    try:
+        yield
+    finally:
+        _SE_MEMO.reset(token)
+
+
 def se(xi, scenario):
     """Spectral efficiency in b/s/Hz: received entropy minus noise entropy.
 
     Mutual information of the memoryless clipped-plus-noise channel; clamped
     at zero (the entropy difference can dip below zero only by numerical
     error in degenerate low-SNR setups).
+
+    Outside an se_memo() scope every call integrates the entropy afresh.
+    Inside one, the first call with a given (xi, scenario) -- the frozen
+    LinkScenario compares by value -- stores its result and later calls
+    return that same float; a call that raises stores nothing.
     """
-    return max(0.0, entropy_y(xi, scenario) - noise_entropy(scenario))
+    memo = _SE_MEMO.get()
+    if memo is None:
+        return max(0.0, entropy_y(xi, scenario) - noise_entropy(scenario))
+    key = (float(check_loading(xi)), scenario)
+    if key not in memo:
+        memo[key] = max(0.0, entropy_y(xi, scenario) - noise_entropy(scenario))
+    return memo[key]
 
 
 def se_ideal(xi, scenario):

@@ -1,10 +1,11 @@
 """Shared fixtures: the reference urban-macro link used across the suite."""
 
+import math
 from dataclasses import replace
 
 import pytest
 
-from ofdmsee import BS_PRESETS, LinkScenario, build_scenario, find_pa, switched_arm
+from ofdmsee import BS_PRESETS, LinkScenario, build_scenario, find_pa, se_engine, switched_arm
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +71,17 @@ def arm_low(pa_low, scenario):
 @pytest.fixture(scope="session")
 def arm_high(pa_high, scenario_high):
     return switched_arm(pa_high, scenario_high, BS_PRESETS["macro"])
+
+
+@pytest.fixture
+def entropy_calls(monkeypatch):
+    """Replace se_engine.entropy_y by a cheap stand-in for the duration of a
+    test; returns the list of loadings the stand-in was called with."""
+    calls = []
+
+    def stand_in(xi, scenario):
+        calls.append(xi)
+        return se_engine.noise_entropy(scenario) + math.log2(1.0 + scenario.gamma * xi) * (1.0 - 0.3 * xi)
+
+    monkeypatch.setattr(se_engine, "entropy_y", stand_in)
+    return calls

@@ -40,6 +40,7 @@ from ofdmsee import (
     ppa_doherty,
     se,
     se_ibo,
+    se_memo,
     simulate_frames,
     single_pa_curve,
     verify_multipath_bound,
@@ -208,6 +209,9 @@ def test_criterion_08_doherty_continuity(pa_low):
     )
 
 
+# one se_memo() scope around the whole criterion: the lossless frontier reads
+# the single-amplifier curves' SE values instead of integrating them again
+@se_memo()
 def test_criterion_09_pas_dominance_and_gain(arm_low, arm_high):
     t0 = time.monotonic()
     xi_grid = np.geomspace(0.02, 1.0, 48)

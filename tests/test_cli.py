@@ -222,6 +222,17 @@ class TestPasFrontier:
         lossy = parse_csv((tmp_path / "pf-fdd-eps1ms.csv").read_text())[2]
         assert float(ideal[0][1]) >= float(lossy[0][1])
 
+    def test_default_run_shares_se_curves(self, capsys, tmp_path, entropy_calls):
+        # the default run makes 432 se() calls on 192 distinct inputs: the
+        # probe's 48 loadings, then 2 arms x 48 loadings for each of the four
+        # variants, on 4 distinct (arm, insertion loss) scenarios
+        for _ in range(2):
+            entropy_calls.clear()
+            code, _, err = run(capsys, "pas-frontier", "--out", str(tmp_path / "pf"))
+            assert code == 0 and err == ""
+            # a second invocation evaluates them again: no memo outlives a call
+            assert len(entropy_calls) == 192
+
 
 class TestMcValidate:
     def test_smoke(self, capsys):

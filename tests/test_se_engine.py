@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.special
 
 from ofdmsee import (
     ChannelProfile,
+    IntegrationError,
     build_scenario,
     clip_probability,
     entropy_y,
@@ -24,9 +26,11 @@ from ofdmsee import (
     se_ibo,
     se_ideal,
     se_lower_bound_multipath,
+    se_memo,
     se_sweep,
     xi_se_opt,
 )
+from ofdmsee import se_engine
 from ofdmsee.se_engine import _entropy_edges
 from ofdmsee.specfun import _BLOCK_ROWS
 
@@ -266,6 +270,67 @@ class TestSpectralEfficiency:
         bad = build_scenario(5.0, 3.76, 60.0, -100.0, 1e7, pa_low)
         val = se(1.0, bad)
         assert 0.0 <= val <= 1e-9
+
+
+class TestSeMemo:
+    def test_scoped_value_is_the_unscoped_value(self, scenario, snr_scenario):
+        # the 51 dB reference link and both ends of the SNR axis
+        for sc in (scenario, snr_scenario(-24.0), snr_scenario(100.0)):
+            for xi in (0.01, 0.3, 1.0):
+                outside = se(xi, sc)
+                with se_memo():
+                    first = se(xi, sc)
+                    again = se(xi, sc)
+                assert first == outside and again == outside, (sc.gamma, xi)
+
+    def test_no_value_outlives_the_scope(self, scenario, monkeypatch):
+        truth = se(0.3, scenario)
+        monkeypatch.setattr(se_engine, "entropy_y", lambda xi, sc: noise_entropy(sc) + 1.0)
+        with se_memo():
+            assert se(0.3, scenario) == 1.0
+        monkeypatch.undo()
+        assert se(0.3, scenario) == truth
+        with se_memo():
+            assert se(0.3, scenario) == truth
+
+    def test_a_call_that_raises_stores_nothing(self, scenario, entropy_calls, monkeypatch):
+        with se_memo():
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    se(math.nan, scenario)
+        stand_in = se_engine.entropy_y
+
+        def failing(xi, sc):
+            entropy_calls.append(xi)
+            raise IntegrationError("forced", estimate=1.0, error_bound=1.0)
+
+        monkeypatch.setattr(se_engine, "entropy_y", failing)
+        with se_memo():
+            for _ in range(2):
+                with pytest.raises(IntegrationError):
+                    se(0.3, scenario)
+            assert entropy_calls == [0.3, 0.3]
+            monkeypatch.setattr(se_engine, "entropy_y", stand_in)
+            assert se(0.3, scenario) > 0.0
+        assert len(entropy_calls) == 3
+
+    def test_nested_scope_reuses_the_outer_memo(self, scenario, entropy_calls):
+        with se_memo():
+            first = se(0.3, scenario)
+            with se_memo():
+                # keyed by value: an equal scenario and a numpy loading hit
+                assert se(np.float64(0.3), replace(scenario)) == first
+                inner = se(0.5, scenario)
+            # the inner exit kept the memo: neither loading is evaluated again
+            assert se(0.5, scenario) == inner and se(0.3, scenario) == first
+            assert len(entropy_calls) == 2
+        se(0.3, scenario)
+        assert len(entropy_calls) == 3
+
+    def test_unscoped_calls_evaluate_again(self, scenario, entropy_calls):
+        for _ in range(3):
+            se(0.3, scenario)
+        assert entropy_calls == [0.3, 0.3, 0.3]
 
 
 class TestLoadingOptimizer:
