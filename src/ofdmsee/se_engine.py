@@ -55,7 +55,8 @@ _LN2 = math.log(2.0)
 ENTROPY_TOL = 1e-8
 
 # Gauss-Legendre nodes of pdf_unclipped's amplitude integral over its
-# +-16-width ridge window
+# +-16-width ridge window; only rows whose window reaches b_max use it, the
+# interior rows below it take the closed form
 _RIDGE_NODES = 64
 
 # se() results of the open se_memo() scope, keyed on (xi, scenario); None
@@ -176,44 +177,61 @@ def _as_radii(r):
     return arr
 
 
+def _ridge(rr, gp, s2, bmax):
+    """(rho*, w, edge): center and width of the Gaussian ridge of the
+    amplitude integrand exp(-rho^2/gp - (rho-r)^2/s2) at each radius r, and
+    the indices of the radii whose window rho* +- 16w reaches b_max. The
+    other radii are interior: the truncation at b_max is invisible there."""
+    rho_star = rr * gp / (gp + s2)
+    w = math.sqrt(gp * s2 / (2.0 * (gp + s2)))
+    return rho_star, w, np.flatnonzero(rho_star + 16.0 * w >= bmax)
+
+
 def pdf_unclipped(r, xi, scenario):
     """Unclipped-branch density at radius r (quadrature form).
 
     Joint density of the received sample and the event that the input stayed
     below the clip level: the signal amplitude is a truncated Rayleigh on
-    [0, b_max], smeared by complex noise. Evaluated by a 64-node
-    (_RIDGE_NODES) Gauss-Legendre rule over the signal amplitude, on a window
-    centered on the Gaussian ridge of the integrand, 16 ridge widths to each
-    side (all exponents folded to keep the evaluation overflow-free). Radii
-    are integrated in blocks of 64 (specfun._row_quadrature, shared with the
-    Marcum Q1 complement), so the temporaries stay small however many radii
-    a call is given.
+    [0, b_max], smeared by complex noise. The amplitude integrand is a
+    Gaussian ridge; its window runs 16 ridge widths to each side.
+
+    A radius is interior when that window ends below b_max: the truncation
+    is then invisible and the density is the untruncated complex Gaussian
+    exp(-r^2/(gp+sigma^2)) / (pi (gp+sigma^2)), since a Rician kernel
+    integrated over all amplitudes is the convolution of two Gaussians. The
+    other radii are integrated by a 64-node (_RIDGE_NODES) Gauss-Legendre
+    rule over the window cut to [0, b_max] (all exponents folded to keep the
+    evaluation overflow-free), in blocks of 64 radii
+    (specfun._row_quadrature, shared with the Marcum Q1 complement), so the
+    temporaries stay small however many radii a call is given.
     """
     xi = float(check_loading(xi))
     rr = _as_radii(r)
     gp = scenario.signal_power(xi)
     s2 = scenario.noise_variance
     bmax = scenario.b_max
-    # ridge center and width of exp(-rho^2/gp - (rho-r)^2/s2)
-    rho_star = rr * gp / (gp + s2)
-    w = math.sqrt(gp * s2 / (2.0 * (gp + s2)))
-    lo = np.maximum(0.0, rho_star - 16.0 * w)
-    hi = np.minimum(bmax, rho_star + 16.0 * w)
-    beyond = lo >= bmax
-    if np.any(beyond):
-        # ridge sits past the clip level; only the edge of the truncated
-        # amplitude range contributes
-        lo = np.where(beyond, max(0.0, bmax - 32.0 * w), lo)
-        hi = np.where(beyond, bmax, hi)
+    total = gp + s2
+    out = np.exp(-(rr**2) / total) / (math.pi * total)
+    rho_star, w, edge = _ridge(rr, gp, s2, bmax)
+    if edge.size:
+        r_edge = rr[edge]
+        lo = np.maximum(0.0, rho_star[edge] - 16.0 * w)
+        hi = np.minimum(bmax, rho_star[edge] + 16.0 * w)
+        beyond = lo >= bmax
+        if np.any(beyond):
+            # ridge sits past the clip level; only the edge of the truncated
+            # amplitude range contributes
+            lo = np.where(beyond, max(0.0, bmax - 32.0 * w), lo)
+            hi = np.where(beyond, bmax, hi)
 
-    def ridge(rho, rows):
-        r_col = rr[rows, None]
-        expo = -(rho**2) / gp - (rho - r_col) ** 2 / s2
-        return rho * np.exp(expo) * bessel_i0e(2.0 * rho * r_col / s2)
+        def ridge(rho, rows):
+            r_col = r_edge[rows, None]
+            expo = -(rho**2) / gp - (rho - r_col) ** 2 / s2
+            return rho * np.exp(expo) * bessel_i0e(2.0 * rho * r_col / s2)
 
-    with np.errstate(under="ignore"):
-        integral = _row_quadrature(ridge, lo, hi, _RIDGE_NODES)
-    out = np.maximum(2.0 / (math.pi * gp * s2) * integral, 0.0)
+        with np.errstate(under="ignore"):
+            integral = _row_quadrature(ridge, lo, hi, _RIDGE_NODES)
+        out[edge] = np.maximum(2.0 / (math.pi * gp * s2) * integral, 0.0)
     return scalar_like(r, out)
 
 
@@ -222,7 +240,10 @@ def pdf_unclipped_closed(r, xi, scenario):
 
     Product of the untruncated complex-Gaussian density of variance
     gp + sigma^2 and the complementary first-order Marcum Q term that
-    accounts for the amplitude truncation at b_max. The Monte Carlo radial
+    accounts for the amplitude truncation at b_max. On interior radii (the
+    ridge window of pdf_unclipped ends below b_max) that term is 1 to far
+    below double precision, so the Gaussian is returned as it is and the
+    Marcum complement runs only on the other radii. The Monte Carlo radial
     law uses it; pdf_unclipped agrees with it to quadrature accuracy.
     """
     xi = float(check_loading(xi))
@@ -230,10 +251,12 @@ def pdf_unclipped_closed(r, xi, scenario):
     gp = scenario.signal_power(xi)
     s2 = scenario.noise_variance
     total = gp + s2
-    n0 = np.exp(-(rr**2) / total) / (math.pi * total)
-    a = rr * math.sqrt(2.0 * gp / (total * s2))
-    b = scenario.b_max * math.sqrt(2.0 * total / (gp * s2))
-    out = n0 * marcum_q1_complement(a, b)
+    out = np.exp(-(rr**2) / total) / (math.pi * total)
+    edge = _ridge(rr, gp, s2, scenario.b_max)[2]
+    if edge.size:
+        a = rr[edge] * math.sqrt(2.0 * gp / (total * s2))
+        b = scenario.b_max * math.sqrt(2.0 * total / (gp * s2))
+        out[edge] *= marcum_q1_complement(a, b)
     return scalar_like(r, out)
 
 
@@ -281,10 +304,10 @@ def _entropy_edges(xi, scenario):
     gp = scenario.signal_power(xi)
     ring_lo, r_cut = _radial_window(scenario)
     bulk_hi = min(r_cut, 10.0 * math.sqrt(gp + scenario.noise_variance))
-    parts = [np.linspace(0.0, bulk_hi, 33)]
+    parts = [np.linspace(0.0, bulk_hi, 9)]
     if ring_lo > bulk_hi:
-        parts.append(np.linspace(bulk_hi, ring_lo, 9))
-    parts.append(np.linspace(ring_lo, r_cut, 49))
+        parts.append(np.linspace(bulk_hi, ring_lo, 3))
+    parts.append(np.linspace(ring_lo, r_cut, 13))
     parts.append(np.asarray([r_cut]))
     return np.unique(np.concatenate(parts))
 
@@ -295,10 +318,14 @@ def entropy_y(xi, scenario):
     Radial integral of -2*pi*r*f(r)*log2 f(r) over [0, r_cut] with
     r_cut = b_max + 10*sigma; the mass beyond r_cut is bounded by the noise
     tail exp(-100) < 1e-9 since the amplified signal amplitude never exceeds
-    b_max. Panels concentrate on the signal bulk and on the clip ring.
-    f(r) = 0 contributes zero (0*log 0 = 0). The quadrature error check runs
-    at ENTROPY_TOL bits; gauss_panels raises IntegrationError if refinement
-    cannot meet it.
+    b_max. The panels concentrate on the signal bulk (8 panels out to ten
+    standard deviations of the received sample) and on the clip ring (12
+    panels from b_max - 12*sigma to r_cut), with 2 more across any gap
+    between the two; each carries 16 Gauss-Legendre nodes. f(r) = 0
+    contributes zero (0*log 0 = 0). The error check recomputes the integral
+    at 24 nodes and must agree to ENTROPY_TOL bits; gauss_panels splits the
+    panels if it does not, and raises IntegrationError if refinement cannot
+    meet it.
     """
     xi = float(check_loading(xi))
     edges = _entropy_edges(xi, scenario)
@@ -308,7 +335,7 @@ def entropy_y(xi, scenario):
         logf = np.log(np.where(f > 0.0, f, 1.0))
         return -2.0 * math.pi * radii * f * logf
 
-    h_nats = gauss_panels(integrand, edges, order=32, check=True, tol=ENTROPY_TOL * _LN2)
+    h_nats = gauss_panels(integrand, edges, order=16, check=True, tol=ENTROPY_TOL * _LN2)
     return h_nats / _LN2
 
 

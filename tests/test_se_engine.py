@@ -31,8 +31,8 @@ from ofdmsee import (
     xi_se_opt,
 )
 from ofdmsee import se_engine
-from ofdmsee.se_engine import _entropy_edges
-from ofdmsee.specfun import _BLOCK_ROWS
+from ofdmsee.se_engine import ENTROPY_TOL, _entropy_edges, _radial_window
+from ofdmsee.specfun import _BLOCK_ROWS, gauss_panels
 
 
 def pdf_unclipped_256(r, xi, scenario):
@@ -62,6 +62,42 @@ def pdf_unclipped_256(r, xi, scenario):
         vals = rho * np.exp(-(rho**2) / gp - (rho - rc) ** 2 / s2)
         vals *= scipy.special.i0e(2.0 * rho * rc / s2)
     return 2.0 / (math.pi * gp * s2) * np.sum(half * wq * vals, axis=1)
+
+
+def interior(r, xi, scenario):
+    """Radii whose +-16-width ridge window ends below b_max, where the
+    unclipped density does not see the truncation."""
+    gp = scenario.signal_power(xi)
+    s2 = scenario.noise_variance
+    rho_star = np.asarray(r, dtype=float) * gp / (gp + s2)
+    return rho_star + 16.0 * math.sqrt(gp * s2 / (2.0 * (gp + s2))) < scenario.b_max
+
+
+def untruncated_gaussian(r, xi, scenario):
+    total = scenario.signal_power(xi) + scenario.noise_variance
+    return np.exp(-(r**2) / total) / (math.pi * total)
+
+
+def entropy_y_80(xi, scenario):
+    """entropy_y on its earlier panel layout, an oracle for the right-sized
+    one: 33 edges over the bulk, 9 across a gap before the clip ring, 49 over
+    the ring, 32 nodes per panel checked at 48, same density and tolerance.
+    """
+    gp = scenario.signal_power(xi)
+    ring_lo, r_cut = _radial_window(scenario)
+    bulk_hi = min(r_cut, 10.0 * math.sqrt(gp + scenario.noise_variance))
+    parts = [np.linspace(0.0, bulk_hi, 33)]
+    if ring_lo > bulk_hi:
+        parts.append(np.linspace(bulk_hi, ring_lo, 9))
+    parts.append(np.linspace(ring_lo, r_cut, 49))
+    edges = np.unique(np.concatenate(parts + [np.asarray([r_cut])]))
+
+    def integrand(radii):
+        f = pdf_radial(radii, xi, scenario)
+        return -2.0 * math.pi * radii * f * np.log(np.where(f > 0.0, f, 1.0))
+
+    ln2 = math.log(2.0)
+    return gauss_panels(integrand, edges, order=32, check=True, tol=ENTROPY_TOL * ln2) / ln2
 
 
 # se(xi) on the reference macro link (G = 5 dB, alpha = 3.76, -174 dBm/Hz,
@@ -200,11 +236,25 @@ class TestRadialPdf:
     def test_blocked_radii_match_scalar_calls(self, n, scenario):
         xi = 0.3
         r = np.linspace(0.0, 1.2 * scenario.b_max, n)
+        inside = interior(r, xi, scenario)
+        # one call mixes closed-form and quadrature rows
+        assert inside.any() and (n == 1 or not inside.all())
         got = pdf_unclipped(r, xi, scenario)
         assert got.shape == r.shape
         one = [pdf_unclipped(float(ri), xi, scenario) for ri in r]
         assert all(isinstance(v, float) for v in one)
         np.testing.assert_allclose(got, one, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("gamma_db, xi", [(51.0, 0.25), (100.0, 1e-6), (25.0, 0.7), (0.0, 1e-3)])
+    def test_interior_rows_are_the_untruncated_gaussian(self, gamma_db, xi, snr_scenario):
+        sc = snr_scenario(gamma_db)
+        r = np.linspace(0.0, _radial_window(sc)[1], 4001)
+        inside = interior(r, xi, sc)
+        # at 0 dB and xi = 1e-3 every radius up to r_cut is interior
+        assert inside.any() and (gamma_db <= 0.0 or not inside.all())
+        want = untruncated_gaussian(r[inside], xi, sc)
+        assert np.array_equal(pdf_unclipped(r, xi, sc)[inside], want)
+        assert np.array_equal(pdf_unclipped_closed(r, xi, sc)[inside], want)
 
     def test_clipped_branch_is_a_ring(self, scenario):
         xi = 0.8
@@ -270,6 +320,77 @@ class TestSpectralEfficiency:
         bad = build_scenario(5.0, 3.76, 60.0, -100.0, 1e7, pa_low)
         val = se(1.0, bad)
         assert 0.0 <= val <= 1e-9
+
+
+class TestEntropyLayout:
+    """Each case of _entropy_edges' layout against the earlier 80-panel one."""
+
+    @staticmethod
+    def radii_seen(xi, sc, monkeypatch):
+        seen = []
+
+        def recording(r, xi, scenario):
+            seen.append(np.array(r, dtype=float))
+            return pdf_unclipped(r, xi, scenario)
+
+        monkeypatch.setattr(se_engine, "pdf_unclipped", recording)
+        h = entropy_y(xi, sc)
+        monkeypatch.undo()
+        return h, np.concatenate(seen)
+
+    @staticmethod
+    def bulk_and_ring(xi, sc):
+        ring_lo, r_cut = _radial_window(sc)
+        return min(r_cut, 10.0 * math.sqrt(sc.signal_power(xi) + sc.noise_variance)), ring_lo
+
+    def test_ring_overlaps_bulk(self, scenario, monkeypatch):
+        xi = 0.25
+        bulk_hi, ring_lo = self.bulk_and_ring(xi, scenario)
+        assert 0.0 < ring_lo < bulk_hi
+        h, r = self.radii_seen(xi, scenario, monkeypatch)
+        assert interior(r, xi, scenario).any() and not interior(r, xi, scenario).all()
+        assert abs(h - entropy_y_80(xi, scenario)) <= 1e-10
+
+    @pytest.mark.parametrize("gamma_db, xi", [(51.0, 1e-6), (51.0, 1e-4), (100.0, 1e-3)])
+    def test_gap_between_bulk_and_ring(self, gamma_db, xi, snr_scenario, monkeypatch):
+        sc = snr_scenario(gamma_db)
+        bulk_hi, ring_lo = self.bulk_and_ring(xi, sc)
+        assert bulk_hi < ring_lo
+        h, r = self.radii_seen(xi, sc, monkeypatch)
+        # at 51 dB the unclipped branch is interior out to r_cut; at 100 dB
+        # its ridge reaches b_max
+        assert interior(r, xi, sc).any()
+        assert interior(r, xi, sc).all() == (gamma_db < 100.0)
+        assert abs(h - entropy_y_80(xi, sc)) <= 1e-10
+
+    @pytest.mark.parametrize("gamma_db, xi", [(0.0, 0.3), (-12.0, 0.05), (-30.0, 1.0)])
+    def test_snr_at_most_0db(self, gamma_db, xi, snr_scenario, monkeypatch):
+        sc = snr_scenario(gamma_db)
+        h, r = self.radii_seen(xi, sc, monkeypatch)
+        assert not interior(r, xi, sc).any()
+        assert _radial_window(sc)[0] == 0.0
+        assert abs(h - entropy_y_80(xi, sc)) <= 1e-10
+
+    def test_first_check_meets_tolerance_everywhere(self, snr_scenario, monkeypatch):
+        # a layout that met ENTROPY_TOL only by splitting its panels would
+        # give the time back: each point's integrand runs exactly twice, once
+        # at 16 nodes and once for the check at 24
+        real = se_engine.gauss_panels
+        evals = []
+
+        def counting(f, edges, **kw):
+            def counted(x):
+                evals[-1] += 1
+                return f(x)
+
+            evals.append(0)
+            return real(counted, edges, **kw)
+
+        monkeypatch.setattr(se_engine, "gauss_panels", counting)
+        points = [(g, x) for g in np.arange(-30.0, 101.0, 5.0) for x in np.geomspace(1e-6, 1.0, 13)]
+        for g, x in points:
+            entropy_y(float(x), snr_scenario(g))
+        assert evals == [2] * len(points) == [2] * 351
 
 
 class TestSeMemo:

@@ -1,17 +1,21 @@
 """Physical invariants of the exact spectral efficiency over the whole
 parameter space: peak SNR from -30 to +100 dB and loading from 1e-6 to 1."""
 
+import math
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from ofdmsee import se, se_ideal
+from ofdmsee import clip_probability, pdf_clipped, pdf_unclipped, se, se_ideal
+from ofdmsee.se_engine import _entropy_edges
+from ofdmsee.specfun import gauss_panels
 
-# each example costs one or two se() calls (~40 ms each); the bounds keep
-# the file under ten seconds, and derandomize makes every run draw the same
-# examples
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# each example costs at most two se() calls (~4 ms each) or two radial
+# mass integrals; the bounds keep the file under ten seconds, and
+# derandomize makes every run draw the same examples
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 gamma_db = st.floats(min_value=-30.0, max_value=100.0)
 loading = st.floats(min_value=-6.0, max_value=0.0).map(lambda e: 10.0**e)
@@ -29,3 +33,21 @@ def test_se_never_exceeds_distortion_free_link(snr_scenario, g_db, xi):
 def test_se_nondecreasing_in_snr(snr_scenario, g1, g2, xi):
     lo, hi = sorted((g1, g2))
     assert se(xi, snr_scenario(hi)) >= se(xi, snr_scenario(lo)) - 1e-10
+
+
+@SETTINGS
+@given(g_db=gamma_db, xi=loading)
+def test_branch_masses_on_entropy_panels(snr_scenario, g_db, xi):
+    # the panels entropy_y integrates on carry the whole received law, and
+    # the clipped branch carries exactly the clip probability
+    sc = snr_scenario(g_db)
+    edges = _entropy_edges(xi, sc)
+
+    def mass(pdf):
+        return gauss_panels(
+            lambda r: 2.0 * math.pi * r * pdf(r, xi, sc), edges, order=16, check=True, tol=1e-11
+        )
+
+    m_unclipped, m_clipped = mass(pdf_unclipped), mass(pdf_clipped)
+    assert abs(m_unclipped + m_clipped - 1.0) <= 1e-9
+    assert abs(m_clipped - clip_probability(xi)) <= 1e-9
