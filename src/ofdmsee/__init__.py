@@ -8,173 +8,20 @@ between two differently sized amplifiers. A Monte Carlo simulator provides
 independent validation of the analytic results.
 """
 
-from .specfun import (
-    IntegrationError,
-    WBranch,
-    bessel_i0e,
-    gauss_panels,
-    lambert_w,
-    marcum_q1,
-    marcum_q1_complement,
-)
-from .pa_models import (
-    DatasheetWarning,
-    PaSpec,
-    RappParams,
-    clip_probability,
-    datasheet_csv,
-    drain_efficiency,
-    embedded_datasheet,
-    embedded_row_ids,
-    find_pa,
-    load_datasheet,
-    rapp,
-    soft_limiter,
-)
-from .power_models import (
-    BS_PRESETS,
-    PowerModelParams,
-    doherty_pieces,
-    pc_custom,
-    pc_ideal,
-    pc_linear,
-    pc_nonlinear,
-    ppa_doherty,
-)
-from .se_engine import (
-    ChannelProfile,
-    LinkScenario,
-    build_scenario,
-    entropy_y,
-    multipath_equiv_gain,
-    noise_entropy,
-    pdf_clipped,
-    pdf_radial,
-    pdf_unclipped,
-    pdf_unclipped_closed,
-    se,
-    se_ibo,
-    se_ideal,
-    se_lower_bound_multipath,
-    se_memo,
-    se_sweep,
-    xi_se_opt,
-)
-from .ee_engine import (
-    EeBreakdown,
-    InfeasibleError,
-    ee,
-    ee_breakdown,
-    ee_ideal,
-    ee_linear,
-    ee_linear_derivative,
-    ee_sweep,
-    pareto_window,
-    xi_ee_opt,
-    zeta,
-)
-from .pas_engine import (
-    STANDING_DRAW_PER_WATT,
-    Duplex,
-    FrontierPoint,
-    PaArm,
-    PasConfig,
-    pa_with_loss,
-    pas_ee,
-    pas_frontier,
-    pas_se,
-    single_pa_curve,
-    switched_arm,
-)
-from .mc_oracle import (
-    EstimatorError,
-    FrameConfig,
-    analytic_radial_cdf,
-    dump_samples,
-    empirical_pdf_distance,
-    estimate_mi,
-    load_samples,
-    simulate_frames,
-    verify_multipath_bound,
-)
+# the package exports what each module declares public in its __all__
+from . import ee_engine, mc_oracle, pa_models, pas_engine, power_models, se_engine, specfun
+from .specfun import *  # noqa: F401,F403
+from .pa_models import *  # noqa: F401,F403
+from .power_models import *  # noqa: F401,F403
+from .se_engine import *  # noqa: F401,F403
+from .ee_engine import *  # noqa: F401,F403
+from .pas_engine import *  # noqa: F401,F403
+from .mc_oracle import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntegrationError",
-    "WBranch",
-    "bessel_i0e",
-    "gauss_panels",
-    "lambert_w",
-    "marcum_q1",
-    "marcum_q1_complement",
-    "DatasheetWarning",
-    "PaSpec",
-    "RappParams",
-    "clip_probability",
-    "datasheet_csv",
-    "drain_efficiency",
-    "embedded_datasheet",
-    "embedded_row_ids",
-    "find_pa",
-    "load_datasheet",
-    "rapp",
-    "soft_limiter",
-    "BS_PRESETS",
-    "PowerModelParams",
-    "doherty_pieces",
-    "pc_custom",
-    "pc_ideal",
-    "pc_linear",
-    "pc_nonlinear",
-    "ppa_doherty",
-    "ChannelProfile",
-    "LinkScenario",
-    "build_scenario",
-    "entropy_y",
-    "multipath_equiv_gain",
-    "noise_entropy",
-    "pdf_clipped",
-    "pdf_radial",
-    "pdf_unclipped",
-    "pdf_unclipped_closed",
-    "se",
-    "se_ibo",
-    "se_ideal",
-    "se_lower_bound_multipath",
-    "se_memo",
-    "se_sweep",
-    "xi_se_opt",
-    "EeBreakdown",
-    "InfeasibleError",
-    "ee",
-    "ee_breakdown",
-    "ee_ideal",
-    "ee_linear",
-    "ee_linear_derivative",
-    "ee_sweep",
-    "pareto_window",
-    "xi_ee_opt",
-    "zeta",
-    "STANDING_DRAW_PER_WATT",
-    "Duplex",
-    "FrontierPoint",
-    "PaArm",
-    "PasConfig",
-    "pa_with_loss",
-    "pas_ee",
-    "pas_frontier",
-    "pas_se",
-    "single_pa_curve",
-    "switched_arm",
-    "EstimatorError",
-    "FrameConfig",
-    "analytic_radial_cdf",
-    "dump_samples",
-    "empirical_pdf_distance",
-    "estimate_mi",
-    "load_samples",
-    "simulate_frames",
-    "verify_multipath_bound",
-    "__version__",
-]
+    name
+    for module in (specfun, pa_models, power_models, se_engine, ee_engine, pas_engine, mc_oracle)
+    for name in module.__all__
+] + ["__version__"]

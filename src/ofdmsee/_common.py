@@ -1,4 +1,4 @@
-"""Argument helpers shared by the modules of the package."""
+"""Argument and root-finding helpers shared by the modules of the package."""
 
 import numpy as np
 
@@ -20,3 +20,29 @@ def scalar_like(template, value):
     if np.ndim(template) == 0:
         return float(np.asarray(value).reshape(-1)[0])
     return value
+
+
+def bracketed_root(g, lo, hi):
+    """A root of the scalar function g in [lo, hi], or None.
+
+    Scans g at 64 log-spaced points for the first sign change (None if there
+    is none), then bisects that bracket until it is 1e-14 * max(1, upper end)
+    wide, 200 steps at most, and returns the bracket's midpoint.
+    """
+    grid = np.geomspace(lo, hi, 64)
+    vals = np.asarray([g(x) for x in grid])
+    change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    if change.size == 0:
+        return None
+    a, b = float(grid[change[0]]), float(grid[change[0] + 1])
+    fa = g(a)
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = g(m)
+        if fa * fm <= 0.0:
+            b = m
+        else:
+            a, fa = m, fm
+        if b - a <= 1e-14 * max(1.0, b):
+            break
+    return 0.5 * (a + b)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import check_loading
+from ._common import bracketed_root, check_loading
 from .power_models import doherty_pieces, pc_ideal, pc_nonlinear
 from .se_engine import se, se_ideal, xi_se_opt
 from .specfun import WBranch, lambert_w
@@ -129,23 +129,7 @@ def _derivative_root_on_piece(scenario, power_params, n_ways, lo, hi):
             1.0 + gam * x
         )
 
-    grid = np.geomspace(lo, hi, 64)
-    vals = np.asarray([g(x) for x in grid])
-    change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if change.size == 0:
-        return None
-    a, b = float(grid[change[0]]), float(grid[change[0] + 1])
-    fa = g(a)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = g(m)
-        if fa * fm <= 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-        if b - a <= 1e-14 * max(1.0, b):
-            break
-    return 0.5 * (a + b)
+    return bracketed_root(g, lo, hi)
 
 
 def xi_ee_opt(scenario, power_params, method="closed_form", n_ways=2):
@@ -172,6 +156,13 @@ def xi_ee_opt(scenario, power_params, method="closed_form", n_ways=2):
             "boundary; the EE bound has no interior rise to optimize "
             "(gamma = %.6g, v = %.6g)" % (zeta_first, gam, v2_first / v1_first)
         )
+
+    def better_end(lo, hi):
+        # the piece endpoint with the larger ee_linear, ties to the lower one
+        lo = max(lo, 1e-12)
+        ee_lo = ee_linear(lo, scenario, power_params, n_ways)
+        return lo if ee_lo >= ee_linear(hi, scenario, power_params, n_ways) else hi
+
     candidates = []
     for idx, (lo, hi, v1, v2) in enumerate(pieces, start=1):
         clamp_lo = max(zeta(v1, v2, gam), lo) if v1 > 0.0 else lo
@@ -180,13 +171,7 @@ def xi_ee_opt(scenario, power_params, method="closed_form", n_ways=2):
             root = _derivative_root_on_piece(scenario, power_params, n_ways, max(lo, 1e-12), hi)
             if root is None:
                 # derivative one-signed on the piece: an endpoint is optimal
-                end_lo, end_hi = max(clamp_lo, 1e-12), hi
-                root = (
-                    end_lo
-                    if ee_linear(end_lo, scenario, power_params, n_ways)
-                    >= ee_linear(end_hi, scenario, power_params, n_ways)
-                    else end_hi
-                )
+                root = better_end(clamp_lo, hi)
         else:
             if v1 <= 0.0:
                 warnings.warn(
@@ -194,13 +179,7 @@ def xi_ee_opt(scenario, power_params, method="closed_form", n_ways=2):
                     "replaced by the better piece endpoint" % idx,
                     RuntimeWarning,
                 )
-                end_lo, end_hi = max(clamp_lo, 1e-12), hi
-                root = (
-                    end_lo
-                    if ee_linear(end_lo, scenario, power_params, n_ways)
-                    >= ee_linear(end_hi, scenario, power_params, n_ways)
-                    else end_hi
-                )
+                root = better_end(clamp_lo, hi)
             else:
                 arg = math.sqrt(gam) / (math.e * (v2 / v1))
                 root = math.exp(2.0 + 2.0 * lambert_w(arg, WBranch.PRINCIPAL)) / gam

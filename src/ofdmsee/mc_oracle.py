@@ -22,8 +22,8 @@ from .pa_models import RappParams, rapp
 from .se_engine import (
     ChannelProfile,
     _radial_window,
-    pdf_clipped,
-    pdf_unclipped_closed,
+    noise_entropy,
+    pdf_radial,
     se_lower_bound_multipath,
 )
 
@@ -167,7 +167,7 @@ def estimate_mi(samples, scenario, k=4):
         )
     h_nats = digamma(y.size) - digamma(k) + math.log(math.pi) + 2.0 * float(np.mean(np.log(eps)))
     h_bits = h_nats / _LN2
-    return h_bits - math.log2(math.pi * math.e * scenario.noise_variance)
+    return h_bits - noise_entropy(scenario)
 
 
 def analytic_radial_cdf(xi, scenario, n_grid=8001):
@@ -175,8 +175,8 @@ def analytic_radial_cdf(xi, scenario, n_grid=8001):
 
     Returns (radii, cdf) on a grid dense enough to resolve the clip ring;
     beyond the last radius the CDF is 1 up to a tail below 1e-9. The density
-    is the closed form (Marcum Q for the unclipped branch), independent of
-    the quadrature that se() integrates.
+    is pdf_radial, the same one se() integrates; a Kolmogorov-Smirnov check
+    against it is independent through the simulated samples.
     """
     ring_lo, r_cut = _radial_window(scenario)
     grid = np.unique(
@@ -184,8 +184,7 @@ def analytic_radial_cdf(xi, scenario, n_grid=8001):
             [np.linspace(0.0, r_cut, n_grid), np.linspace(ring_lo, r_cut, n_grid)]
         )
     )
-    pdf = pdf_unclipped_closed(grid, xi, scenario) + pdf_clipped(grid, xi, scenario)
-    dens = 2.0 * math.pi * grid * pdf
+    dens = 2.0 * math.pi * grid * pdf_radial(grid, xi, scenario)
     steps = np.diff(grid) * 0.5 * (dens[1:] + dens[:-1])
     cdf = np.concatenate([[0.0], np.cumsum(steps)])
     return grid, np.minimum(cdf, 1.0)

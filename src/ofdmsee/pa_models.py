@@ -26,6 +26,8 @@ __all__ = [
     "drain_efficiency",
     "load_datasheet",
     "embedded_datasheet",
+    "embedded_row_ids",
+    "datasheet_csv",
     "find_pa",
 ]
 

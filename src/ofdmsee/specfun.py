@@ -1,11 +1,11 @@
 """Special functions and quadrature used by the analytic link formulas.
 
 The exponentially scaled modified Bessel function of the first kind I0
-(scipy's i0e), the first-order Marcum Q function by ridge quadrature of the
-noncentral amplitude density, both real branches of the Lambert W function,
-fixed Gauss-Legendre panels with an error check for vectorized integrands,
-and the blocked per-row Gauss-Legendre rule that both Bessel-kernel
-integrals (Marcum Q1 here, the unclipped density in se_engine) run on.
+(scipy's i0e), the first-order Marcum Q function by blocked ridge quadrature
+of the noncentral amplitude density, both real branches of the Lambert W
+function, and fixed Gauss-Legendre panels with an error check for vectorized
+integrands. The Marcum Q1 complement is the package's one Bessel-kernel
+integral: the unclipped received density in se_engine is a Gaussian times it.
 """
 
 import enum
@@ -47,15 +47,7 @@ class IntegrationError(RuntimeError):
         self.error_bound = error_bound
 
 
-# ---------------------------------------------------------------------------
-# Row quadrature
-
 _GL_CACHE = {}
-
-# rows integrated together by _row_quadrature: a block's temporaries are
-# _BLOCK_ROWS x order doubles (tens of KB), so they stay in cache and reuse
-# the allocator's pages instead of faulting in fresh ones per call
-_BLOCK_ROWS = 64
 
 
 def _leggauss(order):
@@ -64,62 +56,62 @@ def _leggauss(order):
     return _GL_CACHE[order]
 
 
-def _row_quadrature(integrand, lo, hi, order):
-    """Integral of each row i over [lo[i], hi[i]], order-node Gauss-Legendre.
-
-    integrand(x, rows) receives the abscissae of the rows selected by the
-    slice `rows` as an array of shape (block, order) and returns the values
-    there, same shape. Rows go in blocks of _BLOCK_ROWS. Each row is reduced
-    on its own (einsum, not BLAS gemv, whose summation order depends on the
-    row's place in the block), so a row's integral does not depend on which
-    other rows share its call.
-    """
-    t, w = _leggauss(order)
-    out = np.empty(lo.shape)
-    for start in range(0, lo.size, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        mid = 0.5 * (hi[rows] + lo[rows])
-        half = 0.5 * (hi[rows] - lo[rows])
-        x = mid[:, None] + half[:, None] * t
-        out[rows] = half * np.einsum("ij,j->i", integrand(x, rows), w)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Marcum Q1
 
+# rows marcum_q1_complement integrates together: a block's temporaries are
+# _BLOCK_ROWS x 64 doubles (32 KB), so they stay in cache and reuse the
+# allocator's pages instead of faulting in fresh ones per call
+_BLOCK_ROWS = 64
+
 
 def marcum_q1_complement(a, b):
-    """1 - Q1(a, b) for a >= 0 (scalar or array) and a scalar b >= 0.
+    """1 - Q1(a, b) for a >= 0 (scalar or array of any shape) and a scalar b >= 0.
 
     Ridge quadrature of the noncentral amplitude density
-    x exp(-(x-a)^2/2) i0e(a x) over [0, b], restricted to the window where it
-    carries mass; accurate across regimes because the window always covers
-    the part of [0, b] within ~42 units of the ridge at x = a. A small
-    complement is integrated directly and keeps its relative accuracy.
+    x exp(-(x-a)^2/2) i0e(a x) over [0, b]: 64 Gauss-Legendre nodes on the
+    window a +- 16 cut to [0, b], or on [b - 32, b] when the ridge lies
+    beyond b, so a small complement is integrated directly and keeps its
+    relative accuracy. Where the window ends below b (a + 16 < b) the mass
+    above b is below e^-128 and the complement is exactly 1.0.
+
+    Rows go in blocks of _BLOCK_ROWS. Each row is reduced on its own (einsum,
+    not BLAS gemv, whose summation order depends on the row's place in the
+    block), so a row's value does not depend on which other rows share its
+    call.
     """
-    arr = np.atleast_1d(np.asarray(a, dtype=float))
+    arr = np.asarray(a, dtype=float).ravel()
     b = float(b)
     if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or not math.isfinite(b) or b < 0.0:
         raise ValueError("marcum_q1 requires finite a, b >= 0")
-    hi = np.minimum(b, arr + 42.0)
-    lo = np.where(b < arr - 42.0, np.maximum(0.0, b - 84.0), np.maximum(0.0, arr - 42.0))
-    hi = np.maximum(hi, lo)
-
-    def density(x, rows):
-        ar = arr[rows, None]
-        return x * np.exp(-0.5 * (x - ar) ** 2) * bessel_i0e(ar * x)
-
-    with np.errstate(under="ignore"):
-        c = _row_quadrature(density, lo, hi, 240)
-    return scalar_like(a, np.clip(c, 0.0, 1.0))
+    out = np.ones(arr.shape)
+    edge = np.flatnonzero(arr + 16.0 >= b)
+    if edge.size:
+        ae = arr[edge]
+        lo = np.maximum(0.0, ae - 16.0)
+        hi = np.minimum(b, ae + 16.0)
+        beyond = lo >= b
+        lo = np.where(beyond, max(0.0, b - 32.0), lo)
+        hi = np.where(beyond, b, hi)
+        t, w = _leggauss(64)
+        c = np.empty(edge.size)
+        with np.errstate(under="ignore"):
+            for start in range(0, edge.size, _BLOCK_ROWS):
+                rows = slice(start, start + _BLOCK_ROWS)
+                ar = ae[rows, None]
+                half = 0.5 * (hi[rows] - lo[rows])
+                x = (0.5 * (hi[rows] + lo[rows]))[:, None] + half[:, None] * t
+                vals = x * np.exp(-0.5 * (x - ar) ** 2) * bessel_i0e(ar * x)
+                c[rows] = half * np.einsum("ij,j->i", vals, w)
+        out[edge] = np.clip(c, 0.0, 1.0)
+    return scalar_like(a, out.reshape(np.shape(a)))
 
 
 def marcum_q1(a, b):
     """First-order Marcum Q function Q1(a, b) = 1 - marcum_q1_complement(a, b).
 
     Accurate in absolute terms (about 1e-14); a Q1 far below that, deep in
-    the upper tail b >> a, reads as 0.
+    the upper tail b >> a, reads as 0, and it is exactly 0 for a + 16 < b.
     """
     return 1.0 - marcum_q1_complement(a, b)
 
@@ -218,13 +210,18 @@ def lambert_w(q, branch=WBranch.PRINCIPAL):
 # Quadrature
 
 
-def gauss_panels(f, edges, order=32, check=True, tol=None, max_refine=3):
+# rounds of panel splitting gauss_panels tries before it gives up
+_MAX_REFINE = 3
+
+
+def gauss_panels(f, edges, order=32, tol=None):
     """Integrate a vectorized function over the panels defined by `edges`.
 
     f must accept an ndarray of abscissae and return values of the same
-    shape. With check=True the integral is recomputed at 1.5x the order and
-    panels are split until the two estimates agree to `tol` (absolute);
-    raises IntegrationError when refinement runs out.
+    shape. The integral is recomputed at 1.5x the order and the panels are
+    split until the two estimates agree to `tol` (absolute; by default
+    1e-9 * max(1, |estimate|)); raises IntegrationError when _MAX_REFINE
+    rounds of splitting do not reach it.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) < 0):
@@ -242,11 +239,9 @@ def gauss_panels(f, edges, order=32, check=True, tol=None, max_refine=3):
         return float(np.sum(half[:, None] * w[None, :] * vals))
 
     v1 = _eval(edges, order)
-    if not check:
-        return v1
     if tol is None:
         tol = 1e-9 * max(1.0, abs(v1))
-    for _ in range(max_refine):
+    for _ in range(_MAX_REFINE):
         v2 = _eval(edges, order + order // 2)
         if abs(v2 - v1) <= tol:
             return v2

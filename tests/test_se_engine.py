@@ -21,7 +21,6 @@ from ofdmsee import (
     pdf_clipped,
     pdf_radial,
     pdf_unclipped,
-    pdf_unclipped_closed,
     se,
     se_ibo,
     se_ideal,
@@ -36,12 +35,13 @@ from ofdmsee.specfun import _BLOCK_ROWS, gauss_panels
 
 
 def pdf_unclipped_256(r, xi, scenario):
-    """pdf_unclipped's ridge integral at 256 Gauss-Legendre nodes, an oracle
-    for its 64-node rule.
+    """The unclipped density as an amplitude integral at 256 Gauss-Legendre
+    nodes, an oracle for the 64-node Marcum complement pdf_unclipped runs on.
 
-    Same window (16 ridge widths to each side of the ridge, kept inside
-    [0, b_max]) and same integrand, four times the nodes, all radii in one
-    unblocked pass.
+    Integrates over the signal amplitude rho instead of the Marcum variable
+    x = rho / w (w the ridge width), on the same window (16 ridge widths to
+    each side of the ridge, kept inside [0, b_max]), with four times the
+    nodes, all radii in one unblocked pass.
     """
     r = np.asarray(r, dtype=float)
     gp = scenario.signal_power(xi)
@@ -97,7 +97,7 @@ def entropy_y_80(xi, scenario):
         return -2.0 * math.pi * radii * f * np.log(np.where(f > 0.0, f, 1.0))
 
     ln2 = math.log(2.0)
-    return gauss_panels(integrand, edges, order=32, check=True, tol=ENTROPY_TOL * ln2) / ln2
+    return gauss_panels(integrand, edges, order=32, tol=ENTROPY_TOL * ln2) / ln2
 
 
 # se(xi) on the reference macro link (G = 5 dB, alpha = 3.76, -174 dBm/Hz,
@@ -157,7 +157,7 @@ class TestRadialPdf:
 
         edges = _entropy_edges(xi, scenario)
         f = lambda r: 2 * np.pi * r * pdf_radial(r, xi, scenario)
-        mass = gauss_panels(f, edges, order=32, check=True, tol=1e-9)
+        mass = gauss_panels(f, edges, order=32, tol=1e-9)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("xi", [0.1, 0.5, 1.0])
@@ -169,21 +169,28 @@ class TestRadialPdf:
         pclip = clip_probability(xi)
         m0 = gauss_panels(
             lambda r: 2 * np.pi * r * pdf_unclipped(r, xi, scenario),
-            edges, order=32, check=True, tol=1e-9,
+            edges, order=32, tol=1e-9,
         )
         m1 = gauss_panels(
             lambda r: 2 * np.pi * r * pdf_clipped(r, xi, scenario),
-            edges, order=32, check=True, tol=1e-9,
+            edges, order=32, tol=1e-9,
         )
         assert m0 == pytest.approx(1.0 - pclip, abs=1e-6)
         assert m1 == pytest.approx(pclip, abs=1e-6)
 
     def test_closed_form_matches_integral(self, scenario):
+        # scipy-only closed form: the untruncated Gaussian times the CDF of a
+        # noncentral chi-square (2 degrees of freedom, noncentrality a^2) at b^2
         for xi in (0.05, 0.3, 1.0):
             r = np.linspace(0.0, scenario.b_max * 1.2, 100)
-            a = pdf_unclipped(r, xi, scenario)
-            b = pdf_unclipped_closed(r, xi, scenario)
-            assert np.max(np.abs(a - b)) <= 1e-6 * np.max(a)
+            gp = scenario.signal_power(xi)
+            s2 = scenario.noise_variance
+            total = gp + s2
+            a = r * math.sqrt(2.0 * gp / (total * s2))
+            b = scenario.b_max * math.sqrt(2.0 * total / (gp * s2))
+            ref = untruncated_gaussian(r, xi, scenario) * scipy.special.chndtr(b * b, 2.0, a * a)
+            got = pdf_unclipped(r, xi, scenario)
+            assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(got)
 
     def test_integral_against_scipy_quad(self, scenario):
         # independent evaluation of the folded ring integral at a few radii
@@ -245,6 +252,15 @@ class TestRadialPdf:
         assert all(isinstance(v, float) for v in one)
         np.testing.assert_allclose(got, one, rtol=1e-15, atol=0.0)
 
+    def test_radii_of_any_shape(self, scenario):
+        # a 2-D grid of radii, mixing interior and quadrature rows, gives the
+        # 1-D values in its own shape (both branches)
+        r = np.linspace(0.0, 1.2 * scenario.b_max, 12)
+        for pdf in (pdf_unclipped, pdf_clipped):
+            got = pdf(r.reshape(3, 4), 0.3, scenario)
+            assert got.shape == (3, 4)
+            assert np.array_equal(got.ravel(), pdf(r, 0.3, scenario))
+
     @pytest.mark.parametrize("gamma_db, xi", [(51.0, 0.25), (100.0, 1e-6), (25.0, 0.7), (0.0, 1e-3)])
     def test_interior_rows_are_the_untruncated_gaussian(self, gamma_db, xi, snr_scenario):
         sc = snr_scenario(gamma_db)
@@ -254,7 +270,6 @@ class TestRadialPdf:
         assert inside.any() and (gamma_db <= 0.0 or not inside.all())
         want = untruncated_gaussian(r[inside], xi, sc)
         assert np.array_equal(pdf_unclipped(r, xi, sc)[inside], want)
-        assert np.array_equal(pdf_unclipped_closed(r, xi, sc)[inside], want)
 
     def test_clipped_branch_is_a_ring(self, scenario):
         xi = 0.8

@@ -45,7 +45,7 @@ def test_branch_masses_on_entropy_panels(snr_scenario, g_db, xi):
 
     def mass(pdf):
         return gauss_panels(
-            lambda r: 2.0 * math.pi * r * pdf(r, xi, sc), edges, order=16, check=True, tol=1e-11
+            lambda r: 2.0 * math.pi * r * pdf(r, xi, sc), edges, order=16, tol=1e-11
         )
 
     m_unclipped, m_clipped = mass(pdf_unclipped), mass(pdf_clipped)

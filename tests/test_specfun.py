@@ -89,6 +89,20 @@ class TestMarcumQ1:
         assert all(isinstance(v, float) for v in one)
         np.testing.assert_allclose(got, one, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("b", [30.0, 300.0])
+    def test_complement_is_one_below_the_ridge_window(self, b):
+        # rows whose +-16 ridge window ends below b (a + 16 < b) skip the
+        # quadrature and read exactly 1; rows just either side of that
+        # boundary agree with scipy
+        a = b - np.asarray([b, 25.0, 16.1, 16.0 + 1e-9, 16.0, 16.0 - 1e-9, 15.9, 10.0])
+        got = marcum_q1_complement(a, b)
+        shortcut = a + 16.0 < b
+        assert shortcut.sum() == 4
+        assert np.all(got[shortcut] == 1.0)
+        ref = scipy.stats.ncx2.cdf(b * b, df=2, nc=a * a)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+        assert marcum_q1(b - 16.1, b) == 0.0
+
     def test_complement_tiny_tail_region(self):
         # far into the right tail Q1 -> 1 and the complement must stay
         # accurate in absolute terms rather than cancelling to 0
@@ -144,10 +158,11 @@ class TestLambertW:
 
 class TestQuadrature:
     def test_gauss_panels_polynomial_exactness(self):
-        # degree-9 polynomial is exact for order-32 nodes
+        # degree-9 polynomial is exact for order-32 nodes and the order-48
+        # check
         f = lambda x: 3 * x**9 - x**4 + 2.0
         edges = np.asarray([0.0, 0.3, 1.0, 2.0])
-        got = gauss_panels(f, edges, order=32, check=False)
+        got = gauss_panels(f, edges, order=32)
         ref = 3 * 2.0**10 / 10 - 2.0**5 / 5 + 2.0 * 2.0
         assert got == pytest.approx(ref, rel=1e-14)
 
@@ -155,7 +170,7 @@ class TestQuadrature:
         f = lambda x: np.exp(-np.asarray(x) ** 2)
         edges = np.linspace(0.0, 6.0, 4)
         ref = math.sqrt(math.pi) / 2 * math.erf(6.0)
-        got = gauss_panels(f, edges, order=32, check=True, tol=1e-12)
+        got = gauss_panels(f, edges, order=32, tol=1e-12)
         assert got == pytest.approx(ref, rel=1e-12)
 
     def test_gauss_panels_error_object_carries_estimate(self):
@@ -163,6 +178,6 @@ class TestQuadrature:
         # cannot resolve at the requested tol
         f = lambda x: 1.0 / np.sqrt(np.abs(x - 0.123456789) + 1e-300)
         with pytest.raises(IntegrationError) as info:
-            gauss_panels(f, np.asarray([0.0, 1.0]), order=32, check=True, tol=1e-14)
+            gauss_panels(f, np.asarray([0.0, 1.0]), order=32, tol=1e-14)
         assert math.isfinite(info.value.estimate)
         assert info.value.error_bound > 0.0
