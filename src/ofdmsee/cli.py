@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .ee_engine import ee_sweep, xi_ee_opt, pareto_window
-from .mc_oracle import FrameConfig, empirical_pdf_distance, estimate_mi, simulate_frames
+from .mc_oracle import FrameConfig, empirical_pdf_distance, estimate_mi_radial, simulate_frames
 from .pa_models import (
     drain_efficiency,
     embedded_datasheet,
@@ -447,7 +447,7 @@ def _cmd_mc_validate(args):
         )
         samples = simulate_frames(config, xi, scen)
         ks = empirical_pdf_distance(samples, xi, scen)
-        mi = estimate_mi(samples, scen)
+        mi = estimate_mi_radial(samples, scen)
         se_val = se(xi, scen)
         rows.append((xi, samples.size, ks, mi, se_val, mi - se_val))
         _note(

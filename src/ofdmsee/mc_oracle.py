@@ -3,10 +3,19 @@
 Independent end-to-end simulation of the clipped OFDM chain (Gaussian data
 symbols, unitary IDFT, memoryless amplifier, cyclic prefix, multipath
 convolution, AWGN) plus the estimators used to validate the analytic
-engine: nearest-neighbor differential entropy / mutual information,
-Kolmogorov-Smirnov distance against the analytic radial law, and the
-multipath lower-bound check. Sample generation is reproducible and batch
-parallel via counter-based RNG streams.
+engine: mutual information, Kolmogorov-Smirnov distance against the analytic
+radial law, and the multipath lower-bound check. Sample generation is
+reproducible and batch parallel via counter-based RNG streams, and fills
+per-batch buffers in place.
+
+Two mutual-information estimators share one interface. estimate_mi_radial,
+which mc-validate reports, takes the 1-D m-spacing entropy of the sorted
+|y|^2. It relies on the received sample being circularly symmetric (uniform
+phase independent of the magnitude), which holds because every amplifier
+model here is AM/AM only; it checks the first four phase harmonics and
+raises EstimatorError when that assumption fails. estimate_mi, the 2-D
+nearest-neighbor estimator on the real/imag cloud, assumes no symmetry and
+is kept as the independent oracle.
 """
 
 import math
@@ -32,6 +41,7 @@ __all__ = [
     "EstimatorError",
     "simulate_frames",
     "estimate_mi",
+    "estimate_mi_radial",
     "empirical_pdf_distance",
     "analytic_radial_cdf",
     "verify_multipath_bound",
@@ -41,6 +51,13 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _BATCH_FRAMES = 512
+# block length of the sample scans that must not allocate n-sized temporaries
+_BLOCK_SAMPLES = 65536
+# the phase-harmonic check of estimate_mi_radial: harmonics k = 1..4 and the
+# bound on n*|mean(e^{ik*phase})|^2, which is Exp(1) under a uniform phase
+# (false alarm about 4*e^-30 = 4e-13 per sample)
+_PHASE_HARMONICS = 4
+_PHASE_STAT_MAX = 30.0
 _MAGIC = b"OFDMIQS1"
 
 
@@ -99,6 +116,14 @@ def _apply_pa(x, config, scenario):
     return out_amp * phase
 
 
+def _fill_gaussian(rng, scale, draw, dst):
+    # dst = scale * (re + 1j*im) from two standard-normal draws, in place
+    rng.standard_normal(out=draw)
+    np.multiply(draw, scale, out=dst.real)
+    rng.standard_normal(out=draw)
+    np.multiply(draw, scale, out=dst.imag)
+
+
 def simulate_frames(config, xi, scenario, channel=None):
     """Run the OFDM chain and return the received time-domain samples.
 
@@ -106,7 +131,8 @@ def simulate_frames(config, xi, scenario, channel=None):
     power, unitary IDFT, amplifier (phase preserved), cyclic prefix, linear
     convolution with the channel taps, AWGN, prefix removal. Returns a
     complex array of n_frames * N samples. Identical arguments produce an
-    identical stream regardless of batch processing order.
+    identical stream regardless of batch processing order. Each batch is
+    computed in buffers allocated once per call.
     """
     xi = float(check_loading(xi))
     if channel is None:
@@ -120,30 +146,32 @@ def simulate_frames(config, xi, scenario, channel=None):
     sig_scale = math.sqrt(p_in / 2.0)
     noise_scale = math.sqrt(scenario.noise_variance / 2.0)
     out = np.empty(config.n_frames * n, dtype=complex)
-    pos = 0
+    rows = min(_BATCH_FRAMES, config.n_frames)
+    draw = np.empty((rows, n))
+    sym = np.empty((rows, n), dtype=complex)
+    tx = np.empty((rows, ncp + n), dtype=complex)
     n_batches = (config.n_frames + _BATCH_FRAMES - 1) // _BATCH_FRAMES
     for b in range(n_batches):
-        frames = min(_BATCH_FRAMES, config.n_frames - b * _BATCH_FRAMES)
+        first = b * _BATCH_FRAMES
+        frames = min(_BATCH_FRAMES, config.n_frames - first)
         rng = _batch_stream(config.seed, b)
-        sym = sig_scale * (
-            rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
-        )
-        x = np.fft.ifft(sym, norm="ortho", axis=1)
-        w = _apply_pa(x, config, scenario)
-        tx = np.concatenate([w[:, n - ncp :], w], axis=1) if ncp else w
-        # linear convolution with the taps via shifted adds, then prefix strip;
-        # with ncp >= L-1 this equals circular convolution of the prefix-free block
-        rx = np.zeros((frames, ncp + n), dtype=complex)
+        s, t = sym[:frames], tx[:frames]
+        _fill_gaussian(rng, sig_scale, draw[:frames], s)
+        np.fft.ifft(s, norm="ortho", axis=1, out=s)
+        w = _apply_pa(s, config, scenario)
+        t[:, ncp:] = w
+        t[:, :ncp] = w[:, n - ncp :]
+        # linear convolution with the taps via shifted adds, kept only past the
+        # prefix; with ncp >= L-1 this equals circular convolution of the
+        # prefix-free block. Each output column sums its lags in tap order.
+        rx = out[first * n : (first + frames) * n].reshape(frames, n)
+        rx.fill(0.0)
         for lag, h in enumerate(taps):
             if h != 0.0:
-                rx[:, lag:] += h * tx[:, : tx.shape[1] - lag]
-        kept = rx[:, ncp : ncp + n]
+                rx += np.multiply(h, t[:, ncp - lag : ncp - lag + n], out=s)
         if config.include_noise:
-            kept = kept + noise_scale * (
-                rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
-            )
-        out[pos : pos + frames * n] = kept.ravel()
-        pos += frames * n
+            _fill_gaussian(rng, noise_scale, draw[:frames], s)
+            rx += s
     return out
 
 
@@ -152,7 +180,9 @@ def estimate_mi(samples, scenario, k=4):
 
     Nearest-neighbor (k-th neighbor) differential entropy of the 2-D
     real/imag cloud minus the noise entropy. The estimator is asymptotically
-    unbiased; k trades variance against small-sample bias.
+    unbiased; k trades variance against small-sample bias. It assumes no
+    symmetry of the sample, so it is the independent oracle for
+    estimate_mi_radial, at about 3.5 s per 1e6 samples on 2 cores.
     """
     y = np.asarray(samples).ravel()
     if y.size < 100:
@@ -168,6 +198,64 @@ def estimate_mi(samples, scenario, k=4):
     h_nats = digamma(y.size) - digamma(k) + math.log(math.pi) + 2.0 * float(np.mean(np.log(eps)))
     h_bits = h_nats / _LN2
     return h_bits - noise_entropy(scenario)
+
+
+def _check_circular(y):
+    # n*|mean(e^{ik*phase})|^2 for k = 1..4, summed in fixed blocks so no
+    # n-sized phase array exists; a zero sample has no phase and adds nothing
+    n = y.size
+    sums = np.zeros(_PHASE_HARMONICS, dtype=complex)
+    for start in range(0, n, _BLOCK_SAMPLES):
+        z = y[start : start + _BLOCK_SAMPLES]
+        mag = np.abs(z)
+        mag[mag == 0.0] = np.inf
+        z = z / mag
+        power = np.ones_like(z)
+        for k in range(_PHASE_HARMONICS):
+            power *= z
+            sums[k] += power.sum()
+    stat = np.abs(sums) ** 2 / n
+    worst = int(np.argmax(stat))
+    if stat[worst] > _PHASE_STAT_MAX:
+        raise EstimatorError(
+            f"samples are not circularly symmetric: phase harmonic k={worst + 1} has "
+            f"n*|mean|^2 = {stat[worst]:.3g} > {_PHASE_STAT_MAX:g}"
+        )
+
+
+def estimate_mi_radial(samples, scenario):
+    """Mutual-information estimate from circularly symmetric samples, b/s/Hz.
+
+    For a circularly symmetric Y, h(Y) = h(|Y|^2) + ln(pi). h(|Y|^2) is the
+    Vasicek m-spacing entropy of the sorted |y|^2, with m = round(sqrt(n))
+    and the window clipped at the sample ends (Vasicek, JRSS-B 1976). The
+    amplifier models are AM/AM only, so the simulated link meets the
+    assumption; the first four phase harmonics are checked before the sort.
+    Raises EstimatorError on fewer than 100 samples, on non-finite samples,
+    on a sample that fails the phase check, and on tied magnitudes (a zero
+    m-spacing).
+    """
+    y = np.asarray(samples).ravel()
+    n = y.size
+    if n < 100:
+        raise EstimatorError("too few samples for a stable entropy estimate")
+    u = np.abs(y)
+    u *= u
+    if not np.isfinite(u).all():
+        raise EstimatorError("non-finite samples")
+    _check_circular(y)
+    u.sort()
+    m = round(math.sqrt(n))
+    spacing = u[2 * m :] - u[: n - 2 * m]
+    low = u[m : 2 * m] - u[0]
+    high = u[n - 1] - u[n - 2 * m : n - m]
+    if min(spacing.min(), low[0], high[-1]) <= 0.0:
+        raise EstimatorError(
+            "tied magnitudes (a zero m-spacing); the entropy estimate is undefined"
+        )
+    log_sum = np.log(spacing, out=spacing).sum() + np.log(low).sum() + np.log(high).sum()
+    h_nats = log_sum / n + math.log(n / (2.0 * m)) + math.log(math.pi)
+    return h_nats / _LN2 - noise_entropy(scenario)
 
 
 def analytic_radial_cdf(xi, scenario, n_grid=8001):
@@ -198,8 +286,14 @@ def empirical_pdf_distance(samples, xi, scenario):
     grid, cdf = analytic_radial_cdf(xi, scenario)
     f_at = np.interp(r, grid, cdf, left=0.0, right=1.0)
     n = r.size
-    upper = np.max(np.arange(1, n + 1) / n - f_at)
-    lower = np.max(f_at - np.arange(0, n) / n)
+    # sup of (i+1)/n - F_i and F_i - i/n over i = 0..n-1, in blocks so that
+    # no n-sized ramp exists
+    upper = lower = -math.inf
+    for start in range(0, n, _BLOCK_SAMPLES):
+        f = f_at[start : start + _BLOCK_SAMPLES]
+        i = np.arange(start, start + f.size, dtype=float)
+        upper = max(upper, np.max((i + 1.0) / n - f))
+        lower = max(lower, np.max(f - i / n))
     return float(max(upper, lower))
 
 

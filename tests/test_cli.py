@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from ofdmsee import STANDING_DRAW_PER_WATT, find_pa
+from ofdmsee import (
+    STANDING_DRAW_PER_WATT,
+    FrameConfig,
+    empirical_pdf_distance,
+    estimate_mi,
+    estimate_mi_radial,
+    find_pa,
+    se,
+    simulate_frames,
+)
 from ofdmsee.cli import main
 
 GRID = "0.05:0.8:5"
@@ -251,6 +260,23 @@ class TestMcValidate:
         assert float(rows[0][2]) < 0.08
         assert abs(float(rows[0][5])) < 0.3
         assert "xi=0.2:" in out
+
+    def test_row_comes_from_the_radial_estimator(self, capsys, scenario):
+        # the conftest link is the CLI's default one; 32 frames of 128 subcarriers
+        code, out, _ = run(
+            capsys, "mc-validate", "--xi", "0.2", "--samples", "4096", "--n-sub", "128",
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        xi, samples, ks, mi, se_val, err = rows[0]
+        y = simulate_frames(FrameConfig(128, 16, 32, seed=12345), 0.2, scenario)
+        radial = estimate_mi_radial(y, scenario)
+        want_se = se(0.2, scenario)
+        assert mi == "%.12g" % radial
+        assert mi != "%.12g" % estimate_mi(y, scenario)
+        assert ks == "%.12g" % empirical_pdf_distance(y, 0.2, scenario)
+        assert se_val == "%.12g" % want_se
+        assert err == "%.12g" % (radial - want_se)
 
 
 class TestDatasheet:

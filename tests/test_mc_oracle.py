@@ -14,6 +14,7 @@ from ofdmsee import (
     dump_samples,
     empirical_pdf_distance,
     estimate_mi,
+    estimate_mi_radial,
     load_samples,
     se,
     se_ideal,
@@ -140,6 +141,8 @@ class TestRadialCdfAndKs:
 
 
 class TestMutualInformation:
+    estimate = staticmethod(estimate_mi)
+
     def test_linear_gaussian_matches_shannon(self, scenario):
         # hand-built linear AWGN samples: the estimator must recover Shannon
         rng = np.random.default_rng(31)
@@ -148,24 +151,65 @@ class TestMutualInformation:
         s = math.sqrt(p_sig / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         zs = math.sqrt(scenario.noise_variance / 2.0)
         y = s + zs * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        got = estimate_mi(y, scenario)
+        got = self.estimate(y, scenario)
         want = se_ideal(0.1, scenario)
         assert got == pytest.approx(want, abs=0.05)
 
     def test_clipped_link_matches_analytic_se(self, scenario):
         cfg = make_config(n_frames=800)
         y = simulate_frames(cfg, 0.4, scenario)
-        assert estimate_mi(y, scenario) == pytest.approx(se(0.4, scenario), abs=0.1)
+        assert self.estimate(y, scenario) == pytest.approx(se(0.4, scenario), abs=0.1)
 
     def test_noise_only_is_zero_information(self, scenario):
         rng = np.random.default_rng(9)
         s = math.sqrt(scenario.noise_variance / 2.0)
         z = rng.normal(0, s, 100000) + 1j * rng.normal(0, s, 100000)
-        assert estimate_mi(z, scenario) == pytest.approx(0.0, abs=0.02)
+        assert self.estimate(z, scenario) == pytest.approx(0.0, abs=0.02)
 
     def test_needs_enough_samples(self, scenario):
         with pytest.raises(EstimatorError):
-            estimate_mi(np.ones(50, dtype=complex), scenario)
+            self.estimate(np.ones(50, dtype=complex), scenario)
+
+
+class TestRadialMutualInformation(TestMutualInformation):
+    """The same cases at the same bounds, plus the samples it must reject."""
+
+    estimate = staticmethod(estimate_mi_radial)
+
+    def test_rejects_unequal_iq_variances(self, scenario):
+        # 4:1 I/Q variances: E[e^{2i*phase}] = 1/3, so harmonic 2 fails
+        rng = np.random.default_rng(41)
+        n = 100000
+        y = 2.0 * rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        with pytest.raises(EstimatorError, match="k=2"):
+            estimate_mi_radial(y, scenario)
+
+    def test_rejects_qpsk_cloud(self, scenario):
+        # QPSK plus noise: harmonics 1 to 3 vanish, only k = 4 shows
+        rng = np.random.default_rng(42)
+        n = 100000
+        sym = np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, n)))
+        y = sym + 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        with pytest.raises(EstimatorError, match="k=4"):
+            estimate_mi_radial(y, scenario)
+
+    def test_rejects_tied_magnitudes(self, scenario):
+        # a tenth of the samples are exact zeros: a point mass has no
+        # density, and its run of equal magnitudes gives zero m-spacings
+        rng = np.random.default_rng(43)
+        n = 100000
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y[: n // 10] = 0.0
+        with pytest.raises(EstimatorError, match="tied"):
+            estimate_mi_radial(y, scenario)
+
+    def test_rejects_non_finite_samples(self, scenario):
+        rng = np.random.default_rng(44)
+        y = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+        for bad in (np.nan, np.inf):
+            y[7] = bad
+            with pytest.raises(EstimatorError, match="non-finite"):
+                estimate_mi_radial(y, scenario)
 
 
 class TestMultipathBound:
