@@ -15,12 +15,12 @@ from ofdmsee import (
     Duplex,
     PasConfig,
     build_scenario,
+    ee_sweep,
     find_pa,
     pas_ee,
     pas_frontier,
     pas_se,
     se_memo,
-    single_pa_curve,
     switched_arm,
 )
 
@@ -56,11 +56,11 @@ def main():
               f"EE={pas_ee(0.25, cfg):12.1f} b/J")
 
     grid = np.geomspace(0.02, 1.0, 24)
-    hi_curve = single_pa_curve(high, grid)
-    se_max = float(np.max(hi_curve["se"]))
+    hi_curve = ee_sweep(high.scenario, high.power, grid)
+    se_max = float(np.max(hi_curve["se_exact"]))
     targets = np.linspace(0.5, 0.95, 6) * se_max
     print(f"\nefficiency frontier (targets up to the large-amplifier max {se_max:.3f} b/s/Hz)")
-    for point in pas_frontier(targets, config, xi_grid=grid):
+    for point in pas_frontier(targets, config, grid):
         mark = "" if point.feasible else "  (infeasible)"
         print(f"  target {point.se_target:7.4f}  EE={point.ee:12.1f}  "
               f"kappa={point.kappa:4.2f}  xi={point.xi1:.4f}{mark}")

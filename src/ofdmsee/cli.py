@@ -237,10 +237,8 @@ def _note(args, text):
     print(f"# {text}")
 
 
-def _write_table(args, command, params, columns, rows):
-    fmt = getattr(args, "format", "csv")
+def _write_table(fmt, out, command, params, columns, rows):
     text = (_render_json if fmt == "json" else _render_csv)(command, params, columns, rows)
-    out = getattr(args, "out", None)
     if out is None:
         sys.stdout.write(text)
         return None
@@ -287,7 +285,7 @@ def _cmd_se_sweep(args):
     params["gamma_db"] = 10.0 * math.log10(scen.gamma)
     columns = ("xi", "se_exact", "se_ideal", "se_ibo", "pr_clip")
     rows = list(zip(*(data[c] for c in columns)))
-    _write_table(args, "se-sweep", params, columns, rows)
+    _write_table(args.format, args.out, "se-sweep", params, columns, rows)
     best = int(np.argmax(data["se_exact"]))
     _note(args, f"max SE {_fmt(data['se_exact'][best])} b/s/Hz at xi = {_fmt(data['xi'][best])}")
     return 0
@@ -302,7 +300,7 @@ def _cmd_ee_sweep(args):
     params.update({"n_ways": args.n_ways, "p_fix_w": power.p_fix, "c_slope": power.c})
     columns = ("xi", "ee_exact", "ee_linear", "ee_ideal", "pc_watts")
     rows = list(zip(*(data[c] for c in columns)))
-    _write_table(args, "ee-sweep", params, columns, rows)
+    _write_table(args.format, args.out, "ee-sweep", params, columns, rows)
     best = int(np.argmax(data["ee_exact"]))
     _note(args, f"max EE {_fmt(data['ee_exact'][best])} b/J at xi = {_fmt(data['xi'][best])}")
     return 0
@@ -321,7 +319,7 @@ def _cmd_tradeoff(args):
     columns = ("xi", "se_exact", "ee_exact", "se_approx", "ee_approx")
     se_approx = [se_ibo(x, scen) for x in data["xi"]]
     rows = list(zip(data["xi"], data["se_exact"], data["ee_exact"], se_approx, data["ee_linear"]))
-    _write_table(args, "tradeoff", params, columns, rows)
+    _write_table(args.format, args.out, "tradeoff", params, columns, rows)
     _note(args, f"tradeoff window: xi in [{_fmt(window[0])}, {_fmt(window[1])}]")
     return 0
 
@@ -347,7 +345,7 @@ def _cmd_optimal_xi(args):
         suffix = f" (piece {piece})" if piece != "" else ""
         print(f"{quantity} {label}: {_fmt(value)}{suffix}")
     if args.out is not None:
-        _write_table(args, "optimal-xi", params, columns, rows)
+        _write_table(args.format, args.out, "optimal-xi", params, columns, rows)
     return 0
 
 
@@ -381,11 +379,7 @@ def _cmd_pas_frontier(args):
     else:
         runs = list(_PAS_PRESETS)
     if args.targets is None:
-        probe = PasConfig(
-            pa_low=low, pa_high=high, frame_length=args.frame_length,
-            frame_count=args.frames, kappa=0.0, n_ways=args.n_ways,
-        )
-        high_se = [se(x, probe.pa_high.scenario) for x in args.xi_grid]
+        high_se = [se(x, high.scenario) for x in args.xi_grid]
         targets = np.linspace(0.2, 1.0, 17) * max(high_se)
     else:
         targets = np.asarray(args.targets, dtype=float)
@@ -393,7 +387,6 @@ def _cmd_pas_frontier(args):
     for ext in (".csv", ".json"):
         if stem.endswith(ext):
             stem = stem[: -len(ext)]
-    status = 0
     for name, duplex, eps, gs_db in runs:
         config = PasConfig(
             pa_low=low,
@@ -406,7 +399,7 @@ def _cmd_pas_frontier(args):
             duplex=duplex,
             n_ways=args.n_ways,
         )
-        points = pas_frontier(targets, config, xi_mode=args.xi_mode, xi_grid=args.xi_grid)
+        points = pas_frontier(targets, config, args.xi_grid, xi_mode=args.xi_mode)
         params = {
             "pa_low": low.spec.model_name,
             "pa_high": high.spec.model_name,
@@ -423,17 +416,19 @@ def _cmd_pas_frontier(args):
         }
         columns = ("se_target", "ee", "kappa", "xi1", "xi2", "feasible")
         rows = [(p.se_target, p.ee, p.kappa, p.xi1, p.xi2, p.feasible) for p in points]
-        run_args = argparse.Namespace(
-            format=args.format,
-            out=(stem + "-" + name + "." + args.format) if (args.out is not None or not explicit) else None,
-        )
-        if explicit and args.out is not None:
-            run_args.out = stem + "." + args.format
-        _write_table(run_args, "pas-frontier", params, columns, rows)
-    return status
+        if not explicit:
+            out = f"{stem}-{name}.{args.format}"
+        elif args.out is not None:
+            out = f"{stem}.{args.format}"
+        else:
+            out = None
+        _write_table(args.format, out, "pas-frontier", params, columns, rows)
+    return 0
 
 
 def _cmd_mc_validate(args):
+    if args.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {args.samples}")
     spec = _resolve_pa(args.pa)
     scen = _make_scenario(args, spec)
     frames = max(1, -(-args.samples // args.n_sub))
@@ -455,7 +450,7 @@ def _cmd_mc_validate(args):
             f"xi={_fmt(xi)}: ks={_fmt(ks)} mi={_fmt(mi)} "
             f"se={_fmt(se_val)} err={_fmt(mi - se_val)}",
         )
-    _write_table(args, "mc-validate", params, columns, rows)
+    _write_table(args.format, args.out, "mc-validate", params, columns, rows)
     return 0
 
 
@@ -476,7 +471,7 @@ def _cmd_datasheet(args):
                 spec.turn_on_time if spec.turn_on_time is not None else "",
             )
         )
-    _write_table(args, "datasheet", params, columns, rows)
+    _write_table(args.format, args.out, "datasheet", params, columns, rows)
     if getattr(args, "out", None) is None:
         etas = [drain_efficiency(s) for s in specs]
         etas = [e for e in etas if e is not None]

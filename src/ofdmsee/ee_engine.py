@@ -118,20 +118,6 @@ def ee_linear_derivative(xi, scenario, power_params, n_ways=2):
     return scenario.bandwidth / (2.0 * root * (v1 + v2 * root) ** 2) * inner
 
 
-def _derivative_root_on_piece(scenario, power_params, n_ways, lo, hi):
-    # sign factor of the derivative on (lo, hi]: the bracketed term
-    gam = scenario.gamma
-
-    def g(x):
-        _, v1, v2 = _active_piece(x, doherty_pieces(power_params, n_ways))
-        r = math.sqrt(x)
-        return (2.0 / _LN2) * gam * (v1 * r + v2 * x) / (1.0 + gam * x) - v2 * math.log2(
-            1.0 + gam * x
-        )
-
-    return bracketed_root(g, lo, hi)
-
-
 def xi_ee_opt(scenario, power_params, method="closed_form", n_ways=2):
     """Loading factor maximizing the linear-PA EE bound, plus the piece index.
 
@@ -168,7 +154,11 @@ def xi_ee_opt(scenario, power_params, method="closed_form", n_ways=2):
         clamp_lo = max(zeta(v1, v2, gam), lo) if v1 > 0.0 else lo
         clamp_lo = min(max(clamp_lo, 1e-300), hi)
         if method == "exact":
-            root = _derivative_root_on_piece(scenario, power_params, n_ways, max(lo, 1e-12), hi)
+            root = bracketed_root(
+                lambda x: ee_linear_derivative(x, scenario, power_params, n_ways),
+                max(lo, 1e-12),
+                hi,
+            )
             if root is None:
                 # derivative one-signed on the piece: an endpoint is optimal
                 root = better_end(clamp_lo, hi)

@@ -27,7 +27,6 @@ __all__ = [
     "pa_with_loss",
     "pas_se",
     "pas_ee",
-    "single_pa_curve",
     "pas_frontier",
 ]
 
@@ -126,22 +125,19 @@ class PasConfig:
     @property
     def eps_eff(self):
         """Effective switching dead time: zero in TDD and for one-arm schedules."""
-        if self.duplex is Duplex.TDD:
-            return 0.0
-        if self.f_ind in (0, self.frame_count):
-            return 0.0
-        return self.switching_time
+        return float(_dead_time(self, self.kappa_quantized))
+
+
+def _dead_time(config, kappa):
+    # the switch is dead once per window, only in FDD and only when both arms run
+    one_arm = (kappa == 0.0) | (kappa == 1.0)
+    return np.where((config.duplex is Duplex.TDD) | one_arm, 0.0, config.switching_time)
 
 
 def pa_with_loss(scenario, insertion_loss_db):
-    """Fold a switch insertion loss into the link (noise raised by G_S dB).
-
-    Accepts a LinkScenario or a PaArm and returns the same type.
-    """
+    """Fold a switch insertion loss into the link (noise raised by G_S dB)."""
     if insertion_loss_db < 0.0 or not math.isfinite(insertion_loss_db):
         raise ValueError("insertion_loss_db must be finite and >= 0")
-    if isinstance(scenario, PaArm):
-        return replace(scenario, scenario=pa_with_loss(scenario.scenario, insertion_loss_db))
     if insertion_loss_db == 0.0:
         return scenario
     return replace(
@@ -150,31 +146,43 @@ def pa_with_loss(scenario, insertion_loss_db):
     )
 
 
-def _arm_scenarios(config):
+def _arm_curves(config, x1, x2):
+    # per-arm SE (insertion loss applied) and draw: low arm at the loadings
+    # x1, high arm at x2
+    s1 = pa_with_loss(config.pa_low.scenario, config.insertion_loss_db)
+    s2 = pa_with_loss(config.pa_high.scenario, config.insertion_loss_db)
+    n = config.n_ways
     return (
-        pa_with_loss(config.pa_low.scenario, config.insertion_loss_db),
-        pa_with_loss(config.pa_high.scenario, config.insertion_loss_db),
+        np.asarray([se(x, s1) for x in x1]),
+        np.asarray([se(x, s2) for x in x2]),
+        np.asarray([pc_nonlinear(x, config.pa_low.power, n_ways=n) for x in x1]),
+        np.asarray([pc_nonlinear(x, config.pa_high.power, n_ways=n) for x in x2]),
     )
 
 
-def _split_xi(xi):
-    # a scalar loading drives both arms; a pair assigns (low, high)
-    if isinstance(xi, (tuple, list)):
-        if len(xi) != 2:
-            raise ValueError("per-arm loading needs exactly two entries")
-        return float(xi[0]), float(xi[1])
-    return float(xi), float(xi)
+def _schedule(config, kappa, se1, se2, pc1, pc2):
+    """Schedule (SE, EE) for arm-1 share kappa and per-arm SE and draw.
 
-
-def _arm_se(xi, config):
-    x1, x2 = _split_xi(xi)
-    s1, s2 = _arm_scenarios(config)
-    return se(x1, s1), se(x2, s2)
-
-
-def _window_prefactor(config):
+    Broadcasts over its array arguments. SE is the kappa-weighted mix of the
+    arm efficiencies derated by the dead-time prefactor K*T/(K*T + eps); EE
+    is the bits of the window over the energy of the elapsed window, with
+    the dead time charged at the schedule's time-average draw.
+    """
     kt = config.frame_count * config.frame_length
-    return kt / (kt + config.eps_eff)
+    pref = kt / (kt + _dead_time(config, kappa))
+    mix = kappa * se1 + (1.0 - kappa) * se2
+    rate = kappa * pc1 + (1.0 - kappa) * pc2
+    return pref * mix, pref * config.pa_low.scenario.bandwidth * mix / rate
+
+
+def _pas_point(xi, config):
+    # a scalar loading drives both arms; a pair assigns (low, high)
+    pair = tuple(xi) if isinstance(xi, (tuple, list)) else (xi, xi)
+    if len(pair) != 2:
+        raise ValueError("per-arm loading needs exactly two entries")
+    x1, x2 = float(pair[0]), float(pair[1])
+    se_val, ee_val = _schedule(config, config.kappa_quantized, *_arm_curves(config, [x1], [x2]))
+    return se_val.item(), ee_val.item()
 
 
 def pas_se(xi, config):
@@ -184,36 +192,17 @@ def pas_se(xi, config):
     applied), derated by the dead-time prefactor K*T/(K*T + eps). xi is one
     shared loading or a (low, high) pair.
     """
-    se1, se2 = _arm_se(xi, config)
-    kq = config.kappa_quantized
-    return _window_prefactor(config) * (kq * se1 + (1.0 - kq) * se2)
-
-
-def _arm_pc(xi, config):
-    x1, x2 = _split_xi(xi)
-    return (
-        pc_nonlinear(x1, config.pa_low.power, n_ways=config.n_ways),
-        pc_nonlinear(x2, config.pa_high.power, n_ways=config.n_ways),
-    )
+    return _pas_point(xi, config)[0]
 
 
 def pas_ee(xi, config):
     """Schedule energy efficiency, bits per joule.
 
-    Direct accounting: bits delivered over the K-frame window divided by the
-    energy drawn over the elapsed window (dead time charged at the schedule's
-    time-average draw; the switch itself draws nothing).
+    Bits delivered over the K-frame window divided by the energy drawn over
+    the elapsed window (dead time charged at the schedule's time-average
+    draw; the switch itself draws nothing).
     """
-    se1, se2 = _arm_se(xi, config)
-    pc1, pc2 = _arm_pc(xi, config)
-    t = config.frame_length
-    f1 = config.f_ind
-    f2 = config.frame_count - f1
-    bits = config.pa_low.scenario.bandwidth * t * (f1 * se1 + f2 * se2)
-    active_energy = t * (f1 * pc1 + f2 * pc2)
-    kt = config.frame_count * t
-    energy = active_energy * (kt + config.eps_eff) / kt
-    return bits / energy
+    return _pas_point(xi, config)[1]
 
 
 @dataclass(frozen=True)
@@ -229,37 +218,7 @@ class FrontierPoint:
     feasible: bool
 
 
-def single_pa_curve(arm, xi_values, insertion_loss_db=0.0, n_ways=2):
-    """SE and EE of one amplifier alone over a loading grid.
-
-    Returns a dict of arrays (xi, se, ee, pc_watts). By default no switch is
-    present (a one-amplifier transmitter needs none); pass insertion_loss_db
-    to model the amplifier behind a switch.
-    """
-    scen = pa_with_loss(arm.scenario, insertion_loss_db)
-    xis = np.atleast_1d(np.asarray(xi_values, dtype=float))
-    out = {
-        "xi": xis.copy(),
-        "se": np.empty_like(xis),
-        "ee": np.empty_like(xis),
-        "pc_watts": np.empty_like(xis),
-    }
-    for i, x in enumerate(xis):
-        s = se(x, scen)
-        pc = pc_nonlinear(x, arm.power, n_ways=n_ways)
-        out["se"][i] = s
-        out["ee"][i] = arm.scenario.bandwidth * s / pc
-        out["pc_watts"][i] = pc
-    return out
-
-
-def _default_xi_grid():
-    coarse = np.geomspace(0.005, 1.0, 100)
-    mid = np.linspace(0.15, 0.65, 76)
-    return np.unique(np.concatenate([coarse, mid]))
-
-
-def pas_frontier(se_targets, config, xi_mode="shared", xi_grid=None):
+def pas_frontier(se_targets, config, xi_grid, xi_mode="shared"):
     """Best-EE schedules meeting each SE target.
 
     For every target, maximizes the schedule EE over the frame lattice
@@ -270,51 +229,17 @@ def pas_frontier(se_targets, config, xi_mode="shared", xi_grid=None):
     """
     if xi_mode not in ("shared", "per_pa"):
         raise ValueError("xi_mode must be 'shared' or 'per_pa'")
-    xis = _default_xi_grid() if xi_grid is None else np.unique(np.asarray(xi_grid, dtype=float))
+    xis = np.unique(np.asarray(xi_grid, dtype=float))
     if xis.size < 2 or np.any(xis <= 0.0) or np.any(xis > 1.0):
         raise ValueError("xi grid must contain at least two loadings in (0, 1]")
-    s1, s2 = _arm_scenarios(config)
-    n = xis.size
-    se1 = np.asarray([se(x, s1) for x in xis])
-    se2 = np.asarray([se(x, s2) for x in xis])
-    pc1 = np.asarray([pc_nonlinear(x, config.pa_low.power, n_ways=config.n_ways) for x in xis])
-    pc2 = np.asarray([pc_nonlinear(x, config.pa_high.power, n_ways=config.n_ways) for x in xis])
-
-    k_count = config.frame_count
-    kappas = np.arange(k_count + 1) / k_count
-    bw = config.pa_low.scenario.bandwidth
-    kt = config.frame_count * config.frame_length
-
-    # effective dead time per kappa row (zero for the one-arm rows and in TDD)
-    eps_rows = np.where(
-        (config.duplex is Duplex.TDD) | (kappas == 0.0) | (kappas == 1.0),
-        0.0,
-        config.switching_time,
-    )
-    pref = kt / (kt + eps_rows)
-
+    se1, se2, pc1, pc2 = _arm_curves(config, xis, xis)
+    # candidate (xi1, xi2) index pairs: the grid's diagonal, or every pair
     if xi_mode == "shared":
-        se_mat = pref[:, None] * (kappas[:, None] * se1[None, :] + (1.0 - kappas)[:, None] * se2[None, :])
-        energy_rate = kappas[:, None] * pc1[None, :] + (1.0 - kappas)[:, None] * pc2[None, :]
-        ee_mat = pref[:, None] * bw * (
-            kappas[:, None] * se1[None, :] + (1.0 - kappas)[:, None] * se2[None, :]
-        ) / energy_rate
-        xi1_mat = np.broadcast_to(xis[None, :], se_mat.shape)
-        xi2_mat = xi1_mat
+        i1 = i2 = np.arange(xis.size)
     else:
-        mix_se = kappas[:, None, None] * se1[None, :, None] + (1.0 - kappas)[:, None, None] * se2[None, None, :]
-        se_mat = pref[:, None, None] * mix_se
-        energy_rate = (
-            kappas[:, None, None] * pc1[None, :, None]
-            + (1.0 - kappas)[:, None, None] * pc2[None, None, :]
-        )
-        ee_mat = pref[:, None, None] * bw * mix_se / energy_rate
-        xi1_mat = np.broadcast_to(xis[None, :, None], se_mat.shape)
-        xi2_mat = np.broadcast_to(xis[None, None, :], se_mat.shape)
-
-    kap_mat = np.broadcast_to(
-        kappas.reshape((-1,) + (1,) * (se_mat.ndim - 1)), se_mat.shape
-    )
+        i1, i2 = np.indices((xis.size, xis.size)).reshape(2, -1)
+    kappas = np.arange(config.frame_count + 1) / config.frame_count
+    se_mat, ee_mat = _schedule(config, kappas[:, None], se1[i1], se2[i2], pc1[i1], pc2[i2])
     se_flat = se_mat.ravel()
     ee_flat = ee_mat.ravel()
     points = []
@@ -335,14 +260,15 @@ def pas_frontier(se_targets, config, xi_mode="shared", xi_grid=None):
             continue
         idx_masked = np.nonzero(mask)[0]
         best = idx_masked[np.argmax(ee_flat[idx_masked])]
+        row, pair = divmod(int(best), i1.size)
         points.append(
             FrontierPoint(
                 se_target=float(target),
                 se=float(se_flat[best]),
                 ee=float(ee_flat[best]),
-                kappa=float(kap_mat.ravel()[best]),
-                xi1=float(xi1_mat.ravel()[best]),
-                xi2=float(xi2_mat.ravel()[best]),
+                kappa=float(kappas[row]),
+                xi1=float(xis[i1[pair]]),
+                xi2=float(xis[i2[pair]]),
                 feasible=True,
             )
         )

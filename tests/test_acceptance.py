@@ -25,6 +25,7 @@ from ofdmsee import (
     drain_efficiency,
     ee,
     ee_linear,
+    ee_sweep,
     embedded_datasheet,
     empirical_pdf_distance,
     estimate_mi,
@@ -43,7 +44,6 @@ from ofdmsee import (
     se_ibo,
     se_memo,
     simulate_frames,
-    single_pa_curve,
     verify_multipath_bound,
     xi_ee_opt,
     xi_se_opt,
@@ -245,8 +245,8 @@ def test_criterion_08_doherty_continuity(pa_low):
 def test_criterion_09_pas_dominance_and_gain(arm_low, arm_high):
     t0 = time.monotonic()
     xi_grid = np.geomspace(0.02, 1.0, 48)
-    curve_lo = single_pa_curve(arm_low, xi_grid)
-    curve_hi = single_pa_curve(arm_high, xi_grid)
+    curve_lo = ee_sweep(arm_low.scenario, arm_low.power, xi_grid)
+    curve_hi = ee_sweep(arm_high.scenario, arm_high.power, xi_grid)
 
     def schedule(gs_db):
         return PasConfig(
@@ -257,26 +257,26 @@ def test_criterion_09_pas_dominance_and_gain(arm_low, arm_high):
 
     # part 1: with a lossless switch the schedule must do at least as well as
     # either amplifier alone at every SE the single amplifier can reach
-    targets = np.unique(np.concatenate([curve_lo["se"], curve_hi["se"]]))
+    targets = np.unique(np.concatenate([curve_lo["se_exact"], curve_hi["se_exact"]]))
     points = pas_frontier(targets, schedule(0.0), xi_mode="shared", xi_grid=xi_grid)
     frontier_ee = {p.se_target: p.ee for p in points}
     shortfall = 0.0
     for curve in (curve_lo, curve_hi):
-        for t in curve["se"]:
-            best_single = float(np.max(curve["ee"][curve["se"] >= t - 1e-12]))
+        for t in curve["se_exact"]:
+            best_single = float(np.max(curve["ee_exact"][curve["se_exact"] >= t - 1e-12]))
             shortfall = max(shortfall, 1.0 - frontier_ee[t] / best_single)
     dominates = shortfall <= 1e-9
 
     # part 2: with a 1 dB switch, efficiency gain over the max-SE operating
     # point of the larger amplifier alone, at targets 12% and 15% below it
-    k = int(np.argmax(curve_hi["se"]))
-    se_max, ee_ref = float(curve_hi["se"][k]), float(curve_hi["ee"][k])
+    k = int(np.argmax(curve_hi["se_exact"]))
+    se_max, ee_ref = float(curve_hi["se_exact"][k]), float(curve_hi["ee_exact"][k])
     pts = pas_frontier([0.88 * se_max, 0.85 * se_max], schedule(1.0), xi_mode="shared", xi_grid=xi_grid)
     gain12 = pts[0].ee / ee_ref - 1.0
     gain15 = pts[1].ee / ee_ref - 1.0
     # the larger amplifier alone at the -15% target, no switch: the abstract
     # puts it at 68%; the band allows for link parameters the abstract omits
-    single15 = float(np.max(curve_hi["ee"][curve_hi["se"] >= 0.85 * se_max - 1e-12])) / ee_ref - 1.0
+    single15 = float(np.max(curve_hi["ee_exact"][curve_hi["se_exact"] >= 0.85 * se_max - 1e-12])) / ee_ref - 1.0
     elapsed = time.monotonic() - t0
     ok = (
         dominates

@@ -14,6 +14,7 @@ from ofdmsee import (
     se,
     simulate_frames,
 )
+from ofdmsee import cli
 from ofdmsee.cli import main
 
 GRID = "0.05:0.8:5"
@@ -277,6 +278,19 @@ class TestMcValidate:
         assert ks == "%.12g" % empirical_pdf_distance(y, 0.2, scenario)
         assert se_val == "%.12g" % want_se
         assert err == "%.12g" % (radial - want_se)
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_rejected(self, capsys, monkeypatch, samples):
+        def simulate(*args):
+            raise AssertionError("simulated despite an invalid sample count")
+
+        monkeypatch.setattr(cli, "simulate_frames", simulate)
+        code, out, err = run(capsys, "mc-validate", "--samples", samples)
+        assert code == 2 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert record["command"] == "mc-validate"
+        assert "samples" in record["message"]
 
 
 class TestDatasheet:

@@ -9,13 +9,14 @@ import pytest
 from ofdmsee import (
     Duplex,
     PasConfig,
+    ee_sweep,
     pa_with_loss,
     pas_ee,
     pas_frontier,
     pas_se,
     pc_nonlinear,
     se,
-    single_pa_curve,
+    se_memo,
 )
 
 
@@ -90,13 +91,6 @@ class TestInsertionLoss:
     def test_zero_loss_is_identity(self, scenario):
         assert pa_with_loss(scenario, 0.0) is scenario
 
-    def test_arm_passthrough(self, arm_low):
-        noisy = pa_with_loss(arm_low, 2.0)
-        assert noisy.spec is arm_low.spec
-        assert noisy.scenario.noise_variance == pytest.approx(
-            arm_low.scenario.noise_variance * 10 ** 0.2, rel=1e-14
-        )
-
     def test_negative_loss_rejected(self, scenario):
         with pytest.raises(ValueError):
             pa_with_loss(scenario, -0.5)
@@ -105,19 +99,19 @@ class TestInsertionLoss:
 class TestScheduleAverages:
     def test_pure_low_schedule_is_the_low_arm(self, base_config):
         cfg = replace(base_config, kappa=1.0)
-        arm = pa_with_loss(cfg.pa_low, cfg.insertion_loss_db)
-        assert pas_se(0.3, cfg) == pytest.approx(se(0.3, arm.scenario), rel=1e-12)
+        lossy = pa_with_loss(cfg.pa_low.scenario, cfg.insertion_loss_db)
+        assert pas_se(0.3, cfg) == pytest.approx(se(0.3, lossy), rel=1e-12)
 
     def test_pure_high_schedule_is_the_high_arm(self, base_config):
         cfg = replace(base_config, kappa=0.0)
-        arm = pa_with_loss(cfg.pa_high, cfg.insertion_loss_db)
-        assert pas_se(0.3, cfg) == pytest.approx(se(0.3, arm.scenario), rel=1e-12)
+        lossy = pa_with_loss(cfg.pa_high.scenario, cfg.insertion_loss_db)
+        assert pas_se(0.3, cfg) == pytest.approx(se(0.3, lossy), rel=1e-12)
 
     def test_se_is_time_share_between_arms(self, base_config):
         cfg = replace(base_config, duplex=Duplex.TDD)  # no dead-time prefactor
-        lo = pa_with_loss(cfg.pa_low, 1.0)
-        hi = pa_with_loss(cfg.pa_high, 1.0)
-        want = 0.65 * se(0.3, lo.scenario) + 0.35 * se(0.3, hi.scenario)
+        lo = pa_with_loss(cfg.pa_low.scenario, 1.0)
+        hi = pa_with_loss(cfg.pa_high.scenario, 1.0)
+        want = 0.65 * se(0.3, lo) + 0.35 * se(0.3, hi)
         assert pas_se(0.3, cfg) == pytest.approx(want, rel=1e-12)
 
     def test_dead_time_prefactor(self, base_config):
@@ -141,8 +135,8 @@ class TestScheduleAverages:
         # standing draw included: the other arm's p_fix is switched off
         for kappa, arm in ((1.0, arm_low), (0.0, arm_high)):
             cfg = replace(base_config, kappa=kappa)
-            alone = single_pa_curve(arm, [0.3], insertion_loss_db=1.0)
-            assert pas_ee(0.3, cfg) == pytest.approx(alone["ee"][0], rel=1e-12), kappa
+            alone = ee_sweep(pa_with_loss(arm.scenario, 1.0), arm.power, [0.3])
+            assert pas_ee(0.3, cfg) == pytest.approx(alone["ee_exact"][0], rel=1e-12), kappa
 
     def test_ee_decreases_with_dead_time(self, base_config):
         es = (0.0, 1e-5, 1e-4, 1e-3)
@@ -157,24 +151,10 @@ class TestScheduleAverages:
 
     def test_per_arm_loadings(self, base_config):
         cfg = replace(base_config, duplex=Duplex.TDD)
-        lo = pa_with_loss(cfg.pa_low, 1.0)
-        hi = pa_with_loss(cfg.pa_high, 1.0)
-        want = 0.65 * se(0.4, lo.scenario) + 0.35 * se(0.15, hi.scenario)
+        lo = pa_with_loss(cfg.pa_low.scenario, 1.0)
+        hi = pa_with_loss(cfg.pa_high.scenario, 1.0)
+        want = 0.65 * se(0.4, lo) + 0.35 * se(0.15, hi)
         assert pas_se((0.4, 0.15), cfg) == pytest.approx(want, rel=1e-12)
-
-
-class TestSinglePaCurve:
-    def test_columns(self, arm_low):
-        xis = np.asarray([0.1, 0.3])
-        data = single_pa_curve(arm_low, xis)
-        assert set(data) == {"xi", "se", "ee", "pc_watts"}
-        assert data["se"][0] == pytest.approx(se(0.1, arm_low.scenario), rel=1e-12)
-
-    def test_loss_lowers_se(self, arm_low):
-        xis = np.asarray([0.2])
-        clean = single_pa_curve(arm_low, xis)
-        lossy = single_pa_curve(arm_low, xis, insertion_loss_db=1.0)
-        assert lossy["se"][0] < clean["se"][0]
 
 
 @pytest.fixture(scope="module")
@@ -227,16 +207,34 @@ class TestFrontier:
     def test_dominates_single_arms(self, tdd_clean, grid):
         # with no switching penalty the schedule can always fall back to
         # running one arm full time, so it cannot lose to either single curve
-        low_curve = single_pa_curve(tdd_clean.pa_low, grid)
-        high_curve = single_pa_curve(tdd_clean.pa_high, grid)
+        low_curve = ee_sweep(tdd_clean.pa_low.scenario, tdd_clean.pa_low.power, grid)
+        high_curve = ee_sweep(tdd_clean.pa_high.scenario, tdd_clean.pa_high.power, grid)
         targets = [10.0, 13.0, 15.0, 16.5]
         pts = pas_frontier(targets, tdd_clean, xi_grid=grid)
         for t, p in zip(targets, pts):
             for curve in (low_curve, high_curve):
-                ok = np.asarray(curve["se"]) >= t - 1e-9
+                ok = curve["se_exact"] >= t - 1e-9
                 if np.any(ok):
-                    best = float(np.max(np.asarray(curve["ee"])[ok]))
+                    best = float(np.max(curve["ee_exact"][ok]))
                     assert p.ee >= best - 1e-9
+
+    @pytest.mark.parametrize("xi_mode", ["shared", "per_pa"])
+    @pytest.mark.parametrize(
+        "duplex, eps, gs_db",
+        [(Duplex.TDD, 0.0, 0.0), (Duplex.FDD, 1e-5, 1.0), (Duplex.FDD, 1e-3, 1.0)],
+    )
+    @se_memo()
+    def test_points_are_the_scalar_schedule(self, tdd_clean, grid, xi_mode, duplex, eps, gs_db):
+        # the frontier and pas_se/pas_ee evaluate one schedule formula, so
+        # every chosen point reproduces exactly, not just to rounding
+        cfg = replace(tdd_clean, duplex=duplex, switching_time=eps, insertion_loss_db=gs_db)
+        pts = pas_frontier(np.linspace(6.0, 17.0, 12), cfg, xi_grid=grid, xi_mode=xi_mode)
+        feasible = [p for p in pts if p.feasible]
+        assert feasible
+        for p in feasible:
+            at = replace(cfg, kappa=p.kappa)
+            assert pas_se((p.xi1, p.xi2), at) == p.se, p
+            assert pas_ee((p.xi1, p.xi2), at) == p.ee, p
 
     def test_bad_mode_rejected(self, tdd_clean, grid):
         with pytest.raises(ValueError):
