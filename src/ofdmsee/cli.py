@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .ee_engine import ee_sweep, xi_ee_opt, pareto_window
-from .mc_oracle import FrameConfig, empirical_pdf_distance, estimate_mi_radial, simulate_frames
+from .mc_oracle import FrameConfig, radial_statistics, simulate_frames
 from .pa_models import (
     drain_efficiency,
     embedded_datasheet,
@@ -431,20 +431,20 @@ def _cmd_mc_validate(args):
         raise ValueError(f"samples must be at least 1, got {args.samples}")
     spec = _resolve_pa(args.pa)
     scen = _make_scenario(args, spec)
+    # validate the frame shape before --n-sub divides the sample count
+    config = FrameConfig(n_subcarriers=args.n_sub, cp_length=args.cp, n_frames=1, seed=args.seed)
     frames = max(1, -(-args.samples // args.n_sub))
+    config = replace(config, n_frames=frames)
+    n_samples = frames * args.n_sub
     params = _scenario_params(args, spec)
-    params.update({"samples": frames * args.n_sub, "n_subcarriers": args.n_sub, "cp": args.cp})
+    params.update({"samples": n_samples, "n_subcarriers": args.n_sub, "cp": args.cp})
     columns = ("xi", "samples", "ks_distance", "mi_estimate", "se_analytic", "error_bits")
     rows = []
     for xi in args.xi:
-        config = FrameConfig(
-            n_subcarriers=args.n_sub, cp_length=args.cp, n_frames=frames, seed=args.seed
-        )
-        samples = simulate_frames(config, xi, scen)
-        ks = empirical_pdf_distance(samples, xi, scen)
-        mi = estimate_mi_radial(samples, scen)
+        # no name holds the samples, so they are freed before the next loading
+        ks, mi = radial_statistics(simulate_frames(config, xi, scen), xi, scen)
         se_val = se(xi, scen)
-        rows.append((xi, samples.size, ks, mi, se_val, mi - se_val))
+        rows.append((xi, n_samples, ks, mi, se_val, mi - se_val))
         _note(
             args,
             f"xi={_fmt(xi)}: ks={_fmt(ks)} mi={_fmt(mi)} "

@@ -5,25 +5,29 @@ symbols, unitary IDFT, memoryless amplifier, cyclic prefix, multipath
 convolution, AWGN) plus the estimators used to validate the analytic
 engine: mutual information, Kolmogorov-Smirnov distance against the analytic
 radial law, and the multipath lower-bound check. Sample generation is
-reproducible and batch parallel via counter-based RNG streams, and fills
-per-batch buffers in place.
+reproducible and batch parallel: each 512-frame batch draws from its own
+counter-based RNG stream, and the batches run on a thread pool with one
+worker per usable CPU, each worker filling its own buffers in place. The
+output is byte-identical to a serial run.
 
 Two mutual-information estimators share one interface. estimate_mi_radial,
 which mc-validate reports, takes the 1-D m-spacing entropy of the sorted
 |y|^2. It relies on the received sample being circularly symmetric (uniform
 phase independent of the magnitude), which holds because every amplifier
 model here is AM/AM only; it checks the first four phase harmonics and
-raises EstimatorError when that assumption fails. estimate_mi, the 2-D
-nearest-neighbor estimator on the real/imag cloud, assumes no symmetry and
-is kept as the independent oracle.
+raises EstimatorError when that assumption fails. radial_statistics gives
+the KS distance and estimate_mi_radial's value from one sort of the
+magnitudes. estimate_mi, the 2-D nearest-neighbor estimator on the
+real/imag cloud, assumes no symmetry and is kept as the independent oracle.
 """
 
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from ._common import check_loading
@@ -42,6 +46,7 @@ __all__ = [
     "simulate_frames",
     "estimate_mi",
     "estimate_mi_radial",
+    "radial_statistics",
     "empirical_pdf_distance",
     "analytic_radial_cdf",
     "verify_multipath_bound",
@@ -103,17 +108,23 @@ def _batch_stream(seed, batch_index):
     return np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
 
 
-def _apply_pa(x, config, scenario):
+def _apply_pa(x, config, scenario, amp, out_amp):
+    # the amplifier applied to x in place; amp and out_amp are float scratch
+    # of x's shape
     if config.pa_model == "bypass":
-        return x
-    amp = np.abs(x)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phase = np.where(amp > 0.0, x / np.where(amp > 0.0, amp, 1.0), 0.0)
+        return
+    np.abs(x, out=amp)
     if config.pa_model == "soft_limiter":
-        out_amp = np.minimum(math.sqrt(scenario.gain) * amp, scenario.b_max)
+        np.multiply(amp, math.sqrt(scenario.gain), out=out_amp)
+        np.minimum(out_amp, scenario.b_max, out=out_amp)
     else:
-        out_amp = rapp(amp, config.pa_model)
-    return out_amp * phase
+        out_amp[...] = rapp(amp, config.pa_model)
+    # x * (1/amp) * out_amp, with 1/amp taken as 0 where amp is 0: scaling
+    # both parts by 1/amp is how NumPy divides a complex by a real, so the
+    # result has the bits of out_amp * (x / amp)
+    np.divide(1.0, amp, out=amp, where=amp > 0.0)
+    x *= amp
+    x *= out_amp
 
 
 def _fill_gaussian(rng, scale, draw, dst):
@@ -124,15 +135,26 @@ def _fill_gaussian(rng, scale, draw, dst):
     np.multiply(draw, scale, out=dst.imag)
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def simulate_frames(config, xi, scenario, channel=None):
     """Run the OFDM chain and return the received time-domain samples.
 
     Per frame: N i.i.d. complex Gaussian data symbols at the loaded input
     power, unitary IDFT, amplifier (phase preserved), cyclic prefix, linear
     convolution with the channel taps, AWGN, prefix removal. Returns a
-    complex array of n_frames * N samples. Identical arguments produce an
-    identical stream regardless of batch processing order. Each batch is
-    computed in buffers allocated once per call.
+    complex array of n_frames * N samples.
+
+    Frames run in batches of 512, each drawing from its own counter-based
+    stream and writing only its own rows of the result, so the batches run
+    on a thread pool with one worker per usable CPU (at most one per batch).
+    Each worker reuses one buffer set allocated by the calling thread. The
+    output is byte-identical to a serial run, whatever the worker count.
     """
     xi = float(check_loading(xi))
     if channel is None:
@@ -147,31 +169,51 @@ def simulate_frames(config, xi, scenario, channel=None):
     noise_scale = math.sqrt(scenario.noise_variance / 2.0)
     out = np.empty(config.n_frames * n, dtype=complex)
     rows = min(_BATCH_FRAMES, config.n_frames)
-    draw = np.empty((rows, n))
-    sym = np.empty((rows, n), dtype=complex)
-    tx = np.empty((rows, ncp + n), dtype=complex)
     n_batches = (config.n_frames + _BATCH_FRAMES - 1) // _BATCH_FRAMES
-    for b in range(n_batches):
-        first = b * _BATCH_FRAMES
-        frames = min(_BATCH_FRAMES, config.n_frames - first)
-        rng = _batch_stream(config.seed, b)
-        s, t = sym[:frames], tx[:frames]
-        _fill_gaussian(rng, sig_scale, draw[:frames], s)
-        np.fft.ifft(s, norm="ortho", axis=1, out=s)
-        w = _apply_pa(s, config, scenario)
-        t[:, ncp:] = w
-        t[:, :ncp] = w[:, n - ncp :]
-        # linear convolution with the taps via shifted adds, kept only past the
-        # prefix; with ncp >= L-1 this equals circular convolution of the
-        # prefix-free block. Each output column sums its lags in tap order.
-        rx = out[first * n : (first + frames) * n].reshape(frames, n)
-        rx.fill(0.0)
-        for lag, h in enumerate(taps):
-            if h != 0.0:
-                rx += np.multiply(h, t[:, ncp - lag : ncp - lag + n], out=s)
-        if config.include_noise:
-            _fill_gaussian(rng, noise_scale, draw[:frames], s)
-            rx += s
+    workers = min(_usable_cpus(), n_batches)
+    # per worker: Gaussian draw and limiter gain (float), symbols, prefixed block
+    buffers = [
+        (
+            np.empty((rows, n)),
+            np.empty((rows, n)),
+            np.empty((rows, n), dtype=complex),
+            np.empty((rows, ncp + n), dtype=complex),
+        )
+        for _ in range(workers)
+    ]
+
+    def run(worker):
+        # batches worker, worker + workers, ...; calls no traced function,
+        # since the benchmark's span stack is not thread-safe
+        draw, gain, sym, tx = buffers[worker]
+        for b in range(worker, n_batches, workers):
+            first = b * _BATCH_FRAMES
+            frames = min(_BATCH_FRAMES, config.n_frames - first)
+            rng = _batch_stream(config.seed, b)
+            d, s, t = draw[:frames], sym[:frames], tx[:frames]
+            _fill_gaussian(rng, sig_scale, d, s)
+            np.fft.ifft(s, norm="ortho", axis=1, out=s)
+            _apply_pa(s, config, scenario, d, gain[:frames])
+            t[:, ncp:] = s
+            t[:, :ncp] = s[:, n - ncp :]
+            # linear convolution with the taps via shifted adds, kept only past
+            # the prefix; with ncp >= L-1 this equals circular convolution of
+            # the prefix-free block. Each output column sums its lags in tap order.
+            rx = out[first * n : (first + frames) * n].reshape(frames, n)
+            rx.fill(0.0)
+            for lag, h in enumerate(taps):
+                if h != 0.0:
+                    rx += np.multiply(h, t[:, ncp - lag : ncp - lag + n], out=s)
+            if config.include_noise:
+                _fill_gaussian(rng, noise_scale, d, s)
+                rx += s
+
+    if workers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for done in [pool.submit(run, w) for w in range(workers)]:
+                done.result()
     return out
 
 
@@ -187,6 +229,9 @@ def estimate_mi(samples, scenario, k=4):
     y = np.asarray(samples).ravel()
     if y.size < 100:
         raise EstimatorError("too few samples for a stable entropy estimate")
+    # imported here: scipy.spatial adds about 0.15 s to importing the package
+    from scipy.spatial import cKDTree
+
     pts = np.column_stack([y.real, y.imag])
     tree = cKDTree(pts)
     dist, _ = tree.query(pts, k=[k + 1], workers=-1)
@@ -223,28 +268,25 @@ def _check_circular(y):
         )
 
 
-def estimate_mi_radial(samples, scenario):
-    """Mutual-information estimate from circularly symmetric samples, b/s/Hz.
-
-    For a circularly symmetric Y, h(Y) = h(|Y|^2) + ln(pi). h(|Y|^2) is the
-    Vasicek m-spacing entropy of the sorted |y|^2, with m = round(sqrt(n))
-    and the window clipped at the sample ends (Vasicek, JRSS-B 1976). The
-    amplifier models are AM/AM only, so the simulated link meets the
-    assumption; the first four phase harmonics are checked before the sort.
-    Raises EstimatorError on fewer than 100 samples, on non-finite samples,
-    on a sample that fails the phase check, and on tied magnitudes (a zero
-    m-spacing).
-    """
+def _sorted_magnitudes(samples):
+    # the samples, flat, and their magnitudes in ascending order
     y = np.asarray(samples).ravel()
+    r = np.abs(y)
+    r.sort()
+    return y, r
+
+
+def _mi_from_sorted(y, r, scenario):
+    # estimate_mi_radial of y, given r = sorted |y|, which is squared in place;
+    # squaring keeps the order, so r*r is bit for bit the sorted |y|^2
     n = y.size
     if n < 100:
         raise EstimatorError("too few samples for a stable entropy estimate")
-    u = np.abs(y)
-    u *= u
-    if not np.isfinite(u).all():
+    u = np.multiply(r, r, out=r)
+    # the sort puts inf and nan last, so the largest entry decides finiteness
+    if not np.isfinite(u[-1]):
         raise EstimatorError("non-finite samples")
     _check_circular(y)
-    u.sort()
     m = round(math.sqrt(n))
     spacing = u[2 * m :] - u[: n - 2 * m]
     low = u[m : 2 * m] - u[0]
@@ -256,6 +298,22 @@ def estimate_mi_radial(samples, scenario):
     log_sum = np.log(spacing, out=spacing).sum() + np.log(low).sum() + np.log(high).sum()
     h_nats = log_sum / n + math.log(n / (2.0 * m)) + math.log(math.pi)
     return h_nats / _LN2 - noise_entropy(scenario)
+
+
+def estimate_mi_radial(samples, scenario):
+    """Mutual-information estimate from circularly symmetric samples, b/s/Hz.
+
+    For a circularly symmetric Y, h(Y) = h(|Y|^2) + ln(pi). h(|Y|^2) is the
+    Vasicek m-spacing entropy of the sorted |y|^2, with m = round(sqrt(n))
+    and the window clipped at the sample ends (Vasicek, JRSS-B 1976). The
+    amplifier models are AM/AM only, so the simulated link meets the
+    assumption; the first four phase harmonics are checked before the
+    entropy is taken. Raises EstimatorError on fewer than 100 samples, on
+    non-finite samples, on a sample that fails the phase check, and on tied
+    magnitudes (a zero m-spacing).
+    """
+    y, r = _sorted_magnitudes(samples)
+    return _mi_from_sorted(y, r, scenario)
 
 
 def analytic_radial_cdf(xi, scenario, n_grid=8001):
@@ -278,9 +336,8 @@ def analytic_radial_cdf(xi, scenario, n_grid=8001):
     return grid, np.minimum(cdf, 1.0)
 
 
-def empirical_pdf_distance(samples, xi, scenario):
-    """Kolmogorov-Smirnov distance between |samples| and the analytic law."""
-    r = np.sort(np.abs(np.asarray(samples).ravel()))
+def _ks_from_sorted(r, xi, scenario):
+    # empirical_pdf_distance, given the sorted magnitudes r
     if r.size == 0:
         raise EstimatorError("no samples")
     grid, cdf = analytic_radial_cdf(xi, scenario)
@@ -295,6 +352,23 @@ def empirical_pdf_distance(samples, xi, scenario):
         upper = max(upper, np.max((i + 1.0) / n - f))
         lower = max(lower, np.max(f - i / n))
     return float(max(upper, lower))
+
+
+def empirical_pdf_distance(samples, xi, scenario):
+    """Kolmogorov-Smirnov distance between |samples| and the analytic law."""
+    return _ks_from_sorted(_sorted_magnitudes(samples)[1], xi, scenario)
+
+
+def radial_statistics(samples, xi, scenario):
+    """(KS distance, radial MI estimate) of one sample from a single sort.
+
+    The values and errors are those of empirical_pdf_distance(samples, xi,
+    scenario) followed by estimate_mi_radial(samples, scenario), which sort
+    the magnitudes once each.
+    """
+    y, r = _sorted_magnitudes(samples)
+    ks = _ks_from_sorted(r, xi, scenario)
+    return ks, _mi_from_sorted(y, r, scenario)
 
 
 def verify_multipath_bound(config, xi, scenario, channel):

@@ -279,18 +279,42 @@ class TestMcValidate:
         assert se_val == "%.12g" % want_se
         assert err == "%.12g" % (radial - want_se)
 
-    @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_nonpositive_samples_rejected(self, capsys, monkeypatch, samples):
+    def test_multi_batch_row_comes_from_the_radial_estimators(self, capsys, scenario):
+        # 1,094 frames of 128 subcarriers are three batches on the worker pool
+        code, out, _ = run(
+            capsys, "mc-validate", "--xi", "0.2", "--samples", "140000", "--n-sub", "128",
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        _, samples, ks, mi, _, _ = rows[0]
+        y = simulate_frames(FrameConfig(128, 16, 1094, seed=12345), 0.2, scenario)
+        assert samples == str(y.size)
+        assert ks == "%.12g" % empirical_pdf_distance(y, 0.2, scenario)
+        assert mi == "%.12g" % estimate_mi_radial(y, scenario)
+
+    @staticmethod
+    def assert_rejected_before_simulating(capsys, monkeypatch, argv, named):
         def simulate(*args):
-            raise AssertionError("simulated despite an invalid sample count")
+            raise AssertionError("simulated despite an invalid argument")
 
         monkeypatch.setattr(cli, "simulate_frames", simulate)
-        code, out, err = run(capsys, "mc-validate", "--samples", samples)
+        code, out, err = run(capsys, "mc-validate", *argv)
         assert code == 2 and out == ""
         record = json.loads(err)
         assert record["error"] == "ValueError"
         assert record["command"] == "mc-validate"
-        assert "samples" in record["message"]
+        assert named in record["message"]
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_rejected(self, capsys, monkeypatch, samples):
+        self.assert_rejected_before_simulating(capsys, monkeypatch, ["--samples", samples], "samples")
+
+    @pytest.mark.parametrize("n_sub", ["0", "-5"])
+    def test_invalid_subcarrier_count_rejected(self, capsys, monkeypatch, n_sub):
+        # --n-sub 0 once divided the sample count before it was validated
+        self.assert_rejected_before_simulating(
+            capsys, monkeypatch, ["--n-sub", n_sub], "n_subcarriers"
+        )
 
 
 class TestDatasheet:

@@ -1,6 +1,7 @@
 """OFDM link simulator and its statistical estimators."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ofdmsee import (
     ChannelProfile,
     EstimatorError,
     FrameConfig,
+    RappParams,
     analytic_radial_cdf,
     clip_probability,
     dump_samples,
@@ -16,6 +18,9 @@ from ofdmsee import (
     estimate_mi,
     estimate_mi_radial,
     load_samples,
+    mc_oracle,
+    radial_statistics,
+    rapp,
     se,
     se_ideal,
     simulate_frames,
@@ -27,6 +32,48 @@ def make_config(**kw):
     base = dict(n_subcarriers=256, cp_length=16, n_frames=200, seed=1234)
     base.update(kw)
     return FrameConfig(**base)
+
+
+def serial_chain(config, xi, scenario, taps):
+    """The simulated chain written out batch by batch on one thread.
+
+    Each 512-frame batch b draws from Philox(key=seed).jumped(b): the real
+    then the imaginary symbol parts, then (with noise) the real then the
+    imaginary noise parts. The limiter is out_amp * (x / amp).
+    """
+    n, ncp = config.n_subcarriers, config.cp_length
+    sig_scale = math.sqrt(xi * scenario.p_max_in / 2.0)
+    noise_scale = math.sqrt(scenario.noise_variance / 2.0)
+
+    def gaussian(rng, scale, shape):
+        z = np.empty(shape, dtype=complex)
+        z.real = scale * rng.standard_normal(shape)
+        z.imag = scale * rng.standard_normal(shape)
+        return z
+
+    blocks = []
+    for b in range(-(-config.n_frames // 512)):
+        frames = min(512, config.n_frames - 512 * b)
+        rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(b))
+        x = np.fft.ifft(gaussian(rng, sig_scale, (frames, n)), norm="ortho", axis=1)
+        if config.pa_model != "bypass":
+            amp = np.abs(x)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                phase = np.where(amp > 0.0, x / np.where(amp > 0.0, amp, 1.0), 0.0)
+            if config.pa_model == "soft_limiter":
+                out_amp = np.minimum(math.sqrt(scenario.gain) * amp, scenario.b_max)
+            else:
+                out_amp = rapp(amp, config.pa_model)
+            x = out_amp * phase
+        tx = np.concatenate([x[:, n - ncp :], x], axis=1)
+        rx = np.zeros((frames, n), dtype=complex)
+        for lag, h in enumerate(np.asarray(taps, dtype=complex)):
+            if h != 0.0:
+                rx = rx + h * tx[:, ncp - lag : ncp - lag + n]
+        if config.include_noise:
+            rx = rx + gaussian(rng, noise_scale, (frames, n))
+        blocks.append(rx.ravel())
+    return np.concatenate(blocks)
 
 
 class TestFrameConfig:
@@ -109,6 +156,35 @@ class TestSimulateFrames:
         h = np.fft.fft(np.concatenate([taps, np.zeros(256 - 3)]))
         want = np.fft.ifft(h * np.fft.fft(flat, axis=1), axis=1)
         np.testing.assert_allclose(faded, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "pa_model, channel, include_noise",
+        [
+            ("soft_limiter", "flat", True),
+            ("soft_limiter", "3-tap", False),
+            ("rapp", "3-tap", True),
+            ("rapp", "flat", False),
+            ("bypass", "3-tap", True),
+        ],
+    )
+    def test_equals_the_serial_chain(
+        self, scenario, monkeypatch, workers, pa_model, channel, include_noise
+    ):
+        # 1100 frames are three batches, the last one partial; the pool's
+        # worker count is forced, and more workers than cores switch often
+        taps = {"flat": (1.0,), "3-tap": (0.8, 0.5j, -0.2 + 0.1j)}[channel]
+        if pa_model == "rapp":
+            pa_model = RappParams(scenario.gain, scenario.b_max, 2.0)
+        cfg = FrameConfig(64, 4, 1100, seed=2024, pa_model=pa_model, include_noise=include_noise)
+        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate_frames(cfg, 0.6, scenario, ChannelProfile(taps=taps))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, serial_chain(cfg, 0.6, scenario, taps))
 
 
 class TestRadialCdfAndKs:
@@ -210,6 +286,14 @@ class TestRadialMutualInformation(TestMutualInformation):
             y[7] = bad
             with pytest.raises(EstimatorError, match="non-finite"):
                 estimate_mi_radial(y, scenario)
+
+    def test_radial_statistics_is_both_estimators(self, scenario):
+        y = simulate_frames(make_config(n_frames=40), 0.3, scenario)
+        ks, mi = radial_statistics(y, 0.3, scenario)
+        assert ks == empirical_pdf_distance(y, 0.3, scenario)
+        assert mi == estimate_mi_radial(y, scenario)
+        with pytest.raises(EstimatorError, match="too few"):
+            radial_statistics(y[:50], 0.3, scenario)
 
 
 class TestMultipathBound:

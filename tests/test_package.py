@@ -1,6 +1,9 @@
 """The package namespace: what `import ofdmsee` exports."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import ofdmsee
 
@@ -27,3 +30,14 @@ def test_every_exported_name_resolves():
 def test_alias_is_not_exported():
     assert "pdf_unclipped_closed" not in ofdmsee.__all__
     assert not hasattr(ofdmsee, "pdf_unclipped_closed")
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # only the kNN estimate_mi needs scipy.spatial, which is slow to import
+    src = Path(ofdmsee.__file__).resolve().parent.parent
+    code = "import sys, ofdmsee, ofdmsee.cli; print('scipy.spatial' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "False"
