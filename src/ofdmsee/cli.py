@@ -3,8 +3,9 @@
 Subcommands cover the scenario sweeps (se-sweep, ee-sweep, tradeoff), the
 switching-schedule frontier (pas-frontier), Monte Carlo validation
 (mc-validate), datasheet inspection (datasheet), and the loading-factor
-optimizers (optimal-xi). All outputs embed the resolved configuration in a
-comment header and are byte-identical across reruns with the same inputs.
+optimizers (optimal-xi). Each subcommand accepts only the flags it reads.
+All outputs embed the flags the command reads in a comment header and are
+byte-identical across reruns with the same inputs.
 """
 
 import argparse
@@ -16,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
+from ._common import check_loading
 from .ee_engine import ee_sweep, xi_ee_opt, pareto_window
 from .mc_oracle import FrameConfig, radial_statistics, simulate_frames
 from .pa_models import (
@@ -76,10 +78,10 @@ def _resolve_pa(token):
         for spec in specs:
             if spec.model_name == row:
                 return spec
-        try:
+        # a plain index only: -1 would otherwise pick the last row
+        if row.isdecimal() and int(row) < len(specs):
             return specs[int(row)]
-        except (ValueError, IndexError):
-            raise KeyError(f"row {row!r} not found in {path}") from None
+        raise KeyError(f"row {row!r} not found in {path}")
     return find_pa(token)
 
 
@@ -93,17 +95,21 @@ def _channel_args(parser):
     parser.add_argument("--bandwidth", type=float, default=1e7, help="bandwidth, Hz")
 
 
-def _common_args(parser, default_grid="0.005:1:80:log"):
+# flags that only some subcommands read
+_FLAGS = {
+    "pa": dict(default="SM2122-44L", help="PA preset, row id, or file:row"),
+    "bs-type": dict(default="macro", choices=sorted(BS_PRESETS), help="transmitter preset"),
+    "xi-grid": dict(
+        type=_parse_grid, default="0.005:1:80:log", help="loading grid min:max:n[:log]"
+    ),
+    "seed": dict(type=int, default=12345, help="RNG seed"),
+}
+
+
+def _common_args(parser, *flags):
     parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--pa", default="SM2122-44L", help="PA preset, row id, or file:row")
-    parser.add_argument(
-        "--bs-type", default="macro", choices=sorted(BS_PRESETS), help="transmitter preset"
-    )
-    parser.add_argument(
-        "--xi-grid", type=_parse_grid, default=_parse_grid(default_grid),
-        help="loading grid min:max:n[:log]",
-    )
-    parser.add_argument("--seed", type=int, default=12345, help="RNG seed")
+    for flag in flags:
+        parser.add_argument("--" + flag, **_FLAGS[flag])
     parser.add_argument("--out", default=None, help="output path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     _channel_args(parser)
@@ -119,22 +125,23 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("se-sweep", help="spectral efficiency vs loading factor")
-    _common_args(p)
+    _common_args(p, "pa", "xi-grid")
 
     p = sub.add_parser("ee-sweep", help="energy efficiency vs loading factor")
-    _common_args(p)
+    _common_args(p, "pa", "bs-type", "xi-grid")
     p.add_argument("--n-ways", type=int, default=2, help="Doherty way count")
 
     p = sub.add_parser("tradeoff", help="joined SE-EE curve over the loading grid")
-    _common_args(p)
+    _common_args(p, "pa", "bs-type", "xi-grid")
     p.add_argument("--n-ways", type=int, default=2)
 
     p = sub.add_parser("optimal-xi", help="optimal loading factors, all methods")
-    _common_args(p)
+    _common_args(p, "pa", "bs-type")
     p.add_argument("--n-ways", type=int, default=2)
 
     p = sub.add_parser("pas-frontier", help="SE-EE frontier of a two-PA switching schedule")
-    _common_args(p, default_grid="0.02:1:48:log")
+    _common_args(p, "bs-type", "xi-grid")
+    p.set_defaults(xi_grid="0.02:1:48:log")
     p.add_argument("--pa-low", default="SM2122-44L")
     p.add_argument("--pa-high", default="SM1720-50")
     p.add_argument("--n-ways", type=int, default=2)
@@ -148,7 +155,7 @@ def _build_parser():
                    help="explicit SE targets, b/s/Hz")
 
     p = sub.add_parser("mc-validate", help="Monte Carlo validation of the analytic engine")
-    _common_args(p)
+    _common_args(p, "pa", "seed")
     p.add_argument("--xi", type=_parse_float_list, default=[0.05, 0.1, 0.2, 0.4])
     p.add_argument("--samples", type=int, default=200000)
     p.add_argument("--n-sub", type=int, default=256, help="subcarriers per frame")
@@ -251,16 +258,19 @@ def _write_table(fmt, out, command, params, columns, rows):
 def _scenario_params(args, spec):
     return {
         "pa": spec.model_name,
-        "bs_type": args.bs_type,
         "g_db": args.g_db,
         "alpha": args.alpha,
         "d_km": args.d_km,
         "noise_psd_dbm_hz": args.noise_psd,
         "bandwidth_hz": args.bandwidth,
-        "xi_grid_min": float(args.xi_grid[0]),
-        "xi_grid_max": float(args.xi_grid[-1]),
-        "xi_grid_points": int(args.xi_grid.size),
-        "seed": args.seed,
+    }
+
+
+def _grid_params(grid):
+    return {
+        "xi_grid_min": float(grid[0]),
+        "xi_grid_max": float(grid[-1]),
+        "xi_grid_points": int(grid.size),
     }
 
 
@@ -281,7 +291,7 @@ def _cmd_se_sweep(args):
     spec = _resolve_pa(args.pa)
     scen = _make_scenario(args, spec)
     data = se_sweep(scen, args.xi_grid)
-    params = _scenario_params(args, spec)
+    params = _scenario_params(args, spec) | _grid_params(args.xi_grid)
     params["gamma_db"] = 10.0 * math.log10(scen.gamma)
     columns = ("xi", "se_exact", "se_ideal", "se_ibo", "pr_clip")
     rows = list(zip(*(data[c] for c in columns)))
@@ -296,8 +306,8 @@ def _cmd_ee_sweep(args):
     scen = _make_scenario(args, spec)
     power = _power_params(args, spec)
     data = ee_sweep(scen, power, args.xi_grid, n_ways=args.n_ways)
-    params = _scenario_params(args, spec)
-    params.update({"n_ways": args.n_ways, "p_fix_w": power.p_fix, "c_slope": power.c})
+    params = _scenario_params(args, spec) | _grid_params(args.xi_grid)
+    params.update(bs_type=args.bs_type, n_ways=args.n_ways, p_fix_w=power.p_fix, c_slope=power.c)
     columns = ("xi", "ee_exact", "ee_linear", "ee_ideal", "pc_watts")
     rows = list(zip(*(data[c] for c in columns)))
     _write_table(args.format, args.out, "ee-sweep", params, columns, rows)
@@ -312,9 +322,9 @@ def _cmd_tradeoff(args):
     power = _power_params(args, spec)
     data = ee_sweep(scen, power, args.xi_grid, n_ways=args.n_ways)
     window = pareto_window(scen, power, n_ways=args.n_ways)
-    params = _scenario_params(args, spec)
+    params = _scenario_params(args, spec) | _grid_params(args.xi_grid)
     params.update(
-        {"n_ways": args.n_ways, "window_lo": window[0], "window_hi": window[1]}
+        bs_type=args.bs_type, n_ways=args.n_ways, window_lo=window[0], window_hi=window[1]
     )
     columns = ("xi", "se_exact", "ee_exact", "se_approx", "ee_approx")
     se_approx = [se_ibo(x, scen) for x in data["xi"]]
@@ -333,7 +343,7 @@ def _cmd_optimal_xi(args):
     xi_ee_cf, piece_cf = xi_ee_opt(scen, power, method="closed_form", n_ways=args.n_ways)
     xi_ee_ex, piece_ex = xi_ee_opt(scen, power, method="exact", n_ways=args.n_ways)
     params = _scenario_params(args, spec)
-    params["n_ways"] = args.n_ways
+    params.update(bs_type=args.bs_type, n_ways=args.n_ways)
     columns = ("quantity", "method", "xi", "piece")
     rows = [
         ("xi_se", "closed-form", xi_se_cf, ""),
@@ -429,6 +439,9 @@ def _cmd_pas_frontier(args):
 def _cmd_mc_validate(args):
     if args.samples < 1:
         raise ValueError(f"samples must be at least 1, got {args.samples}")
+    if not args.xi:
+        raise ValueError("xi needs at least one loading factor")
+    check_loading(args.xi)
     spec = _resolve_pa(args.pa)
     scen = _make_scenario(args, spec)
     # validate the frame shape before --n-sub divides the sample count
@@ -437,7 +450,7 @@ def _cmd_mc_validate(args):
     config = replace(config, n_frames=frames)
     n_samples = frames * args.n_sub
     params = _scenario_params(args, spec)
-    params.update({"samples": n_samples, "n_subcarriers": args.n_sub, "cp": args.cp})
+    params.update(seed=args.seed, samples=n_samples, n_subcarriers=args.n_sub, cp=args.cp)
     columns = ("xi", "samples", "ks_distance", "mi_estimate", "se_analytic", "error_bits")
     rows = []
     for xi in args.xi:

@@ -23,7 +23,6 @@ real/imag cloud, assumes no symmetry and is kept as the independent oracle.
 
 import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -50,8 +49,6 @@ __all__ = [
     "empirical_pdf_distance",
     "analytic_radial_cdf",
     "verify_multipath_bound",
-    "dump_samples",
-    "load_samples",
 ]
 
 _LN2 = math.log(2.0)
@@ -63,7 +60,6 @@ _BLOCK_SAMPLES = 65536
 # (false alarm about 4*e^-30 = 4e-13 per sample)
 _PHASE_HARMONICS = 4
 _PHASE_STAT_MAX = 30.0
-_MAGIC = b"OFDMIQS1"
 
 
 class EstimatorError(RuntimeError):
@@ -382,32 +378,3 @@ def verify_multipath_bound(config, xi, scenario, channel):
     bound = se_lower_bound_multipath(channel, xi, scenario)
     return bound, estimate, estimate - bound
 
-
-def dump_samples(samples, path, config):
-    """Write samples as interleaved float64 re/im with a 32-byte header.
-
-    Header: 8-byte magic, then little-endian u64 n_subcarriers, u64 sample
-    count, u64 seed.
-    """
-    y = np.asarray(samples, dtype=complex).ravel()
-    header = _MAGIC + struct.pack("<QQQ", config.n_subcarriers, y.size, config.seed)
-    inter = np.empty(2 * y.size, dtype="<f8")
-    inter[0::2] = y.real
-    inter[1::2] = y.imag
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(inter.tobytes())
-
-
-def load_samples(path):
-    """Read a sample dump; returns (samples, meta dict)."""
-    with open(path, "rb") as fh:
-        header = fh.read(32)
-        if len(header) != 32 or header[:8] != _MAGIC:
-            raise ValueError("not a sample dump (bad header)")
-        n_sub, count, seed = struct.unpack("<QQQ", header[8:])
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != 2 * count:
-        raise ValueError("sample dump truncated")
-    samples = raw[0::2] + 1j * raw[1::2]
-    return samples, {"n_subcarriers": int(n_sub), "count": int(count), "seed": int(seed)}

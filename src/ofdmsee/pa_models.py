@@ -7,7 +7,6 @@ loader for user-supplied tables.
 """
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,8 +25,6 @@ __all__ = [
     "drain_efficiency",
     "load_datasheet",
     "embedded_datasheet",
-    "embedded_row_ids",
-    "datasheet_csv",
     "find_pa",
 ]
 
@@ -206,16 +203,6 @@ _EMBEDDED_ROWS = [
     (115, "SM1819-52LD", 52.0, 45.0, 30.0, 11000.0, None, None),
 ]
 
-DATASHEET_COLUMNS = (
-    "model",
-    "p_max_out_dBm",
-    "gain_dB",
-    "voltage_V",
-    "current_mA",
-    "p_max_in_dBm",
-    "turn_on_us",
-)
-
 _MISMATCH_LIMIT_DB = 3.0
 
 
@@ -250,10 +237,6 @@ def embedded_datasheet():
             rid, model, pout, gdb, v, ma, pin, ton = row
             specs.append(_build_spec(model, pout, gdb, v, ma, pin, ton, f"row {rid}"))
     return specs
-
-
-def embedded_row_ids():
-    return [row[0] for row in _EMBEDDED_ROWS]
 
 
 def _parse_cell(row, key, required, where):
@@ -311,25 +294,6 @@ def load_datasheet(source):
     finally:
         if close:
             stream.close()
-
-
-def datasheet_csv():
-    """The embedded corpus serialized in the loader's CSV format."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(DATASHEET_COLUMNS)
-    for row in _EMBEDDED_ROWS:
-        _, model, pout, gdb, v, ma, pin, ton = row
-        writer.writerow([
-            model,
-            f"{pout:g}",
-            f"{gdb:g}",
-            "" if v is None else f"{v:g}",
-            "" if ma is None else f"{ma:g}",
-            "" if pin is None else f"{pin:g}",
-            "" if ton is None else f"{ton:g}",
-        ])
-    return buf.getvalue()
 
 
 def find_pa(key):

@@ -8,7 +8,7 @@ power scaled by the load.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "pc_nonlinear",
     "pc_ideal",
     "doherty_pieces",
-    "pc_custom",
 ]
 
 
@@ -51,24 +50,9 @@ class PowerModelParams:
                 raise ValueError(f"{field} must be finite and positive")
 
     @property
-    def p0(self):
-        """Zero-load draw of the affine model, watts."""
-        return self.p_fix
-
-    @property
     def c0(self):
         """Full-load PA draw c * p_max_out, watts."""
         return self.c * self.p_max_out
-
-    @classmethod
-    def from_preset(cls, kind, **overrides):
-        try:
-            base = BS_PRESETS[kind]
-        except KeyError:
-            raise KeyError(
-                f"unknown transmitter preset {kind!r}; choose from {sorted(BS_PRESETS)}"
-            ) from None
-        return replace(base, **overrides) if overrides else base
 
 
 # (p_max_out W, p_fix W, c)
@@ -162,32 +146,3 @@ def doherty_pieces(params, n_ways=2):
         pieces.append((knee, 1.0, params.p_fix - c0 / w, c0 * (w + 1.0) / w))
     return pieces
 
-
-def pc_custom(xi, pieces):
-    """Evaluate a user piecewise draw model v1 + v2 * sqrt(xi).
-
-    `pieces` is a sequence of (xi_lo, xi_hi, v1, v2) covering (0, 1] without
-    gaps, as produced by doherty_pieces or built by hand (a class-A stage is
-    a single piece with v2 = 0 and v1 its constant draw plus p_fix).
-    """
-    pieces = sorted(pieces, key=lambda p: p[0])
-    if not pieces:
-        raise ValueError("pieces must be non-empty")
-    lo = pieces[0][0]
-    if lo != 0.0:
-        raise ValueError("pieces must start at xi = 0")
-    for xi_lo, xi_hi, _, _ in pieces:
-        if not (0.0 <= xi_lo < xi_hi <= 1.0):
-            raise ValueError("each piece needs 0 <= xi_lo < xi_hi <= 1")
-        if xi_lo != lo:
-            raise ValueError("pieces must tile (0, 1] without gaps or overlap")
-        lo = xi_hi
-    if lo != 1.0:
-        raise ValueError("pieces must end at xi = 1")
-    x = check_loading(xi)
-    out = np.full_like(np.asarray(x, dtype=float), np.nan)
-    root = np.sqrt(x)
-    for xi_lo, xi_hi, v1, v2 in pieces:
-        mask = (x > xi_lo) & (x <= xi_hi)
-        out = np.where(mask, v1 + v2 * root, out)
-    return scalar_like(xi, out)

@@ -57,23 +57,19 @@ class LinkScenario:
 
     All channel attenuation is folded into the effective noise variance, so
     the signal power at loading xi is simply xi * p_max_out and the peak SNR
-    is gamma = p_max_out / noise_variance. attenuation_db records how the
-    normalization was obtained and carries no further meaning here.
+    is gamma = p_max_out / noise_variance.
     """
 
     bandwidth: float
     noise_variance: float
     gain: float
     p_max_out: float
-    attenuation_db: float = 0.0
 
     def __post_init__(self):
         for field in ("bandwidth", "noise_variance", "gain", "p_max_out"):
             v = getattr(self, field)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{field} must be finite and positive")
-        if not math.isfinite(self.attenuation_db):
-            raise ValueError("attenuation_db must be finite")
 
     @property
     def gamma(self):
@@ -96,14 +92,9 @@ class LinkScenario:
 
 @dataclass(frozen=True)
 class ChannelProfile:
-    """Discrete multipath taps h_0 .. h_{L-1} (complex gains).
-
-    cp_length, when given, is the cyclic-prefix budget the profile must fit
-    in; it travels with the profile for the simulator's benefit.
-    """
+    """Discrete multipath taps h_0 .. h_{L-1} (complex gains)."""
 
     taps: tuple
-    cp_length: int | None = None
 
     def __post_init__(self):
         taps = tuple(complex(t) for t in self.taps)
@@ -113,8 +104,6 @@ class ChannelProfile:
         power = sum(abs(t) ** 2 for t in taps)
         if not (math.isfinite(power) and power > 0.0):
             raise ValueError("total tap power must be finite and positive")
-        if self.cp_length is not None and len(taps) > self.cp_length:
-            raise ValueError("profile has more taps than the cyclic prefix covers")
 
     @property
     def n_taps(self):
@@ -149,7 +138,6 @@ def build_scenario(g_db, alpha, d_km, noise_psd_dbm_hz, bandwidth, spec):
         noise_variance=sigma2,
         gain=spec.gain,
         p_max_out=spec.p_max_out,
-        attenuation_db=att_db,
     )
 
 

@@ -76,7 +76,8 @@ class TestSeSweep:
         assert doc["figure"] == "se-vs-loading"
         assert doc["columns"][0] == "xi"
         assert len(doc["rows"]) == 5
-        assert doc["config"]["bs_type"] == "macro"
+        # se-sweep reads neither the transmitter preset nor a seed
+        assert "bs_type" not in doc["config"] and "seed" not in doc["config"]
 
     def test_channel_flags_change_output(self, capsys):
         _, base, _ = run(capsys, "se-sweep", "--xi-grid", GRID)
@@ -185,6 +186,13 @@ class TestPaResolution:
         code, out, _ = run(capsys, "se-sweep", "--xi-grid", GRID, "--pa", f"{sheet}:0")
         assert code == 0
         assert parse_csv(out)[0]["pa"] == "AMP-A"
+        # a negative row is an unknown row, not a count from the end
+        for row in ("2", "-1"):
+            code, _, err = run(capsys, "se-sweep", "--xi-grid", GRID, "--pa", f"{sheet}:{row}")
+            assert code == 2
+            record = json.loads(err)
+            assert record["error"] == "KeyError"
+            assert f"row '{row}' not found" in record["message"]
 
 
 class TestPasFrontier:
@@ -316,6 +324,11 @@ class TestMcValidate:
             capsys, monkeypatch, ["--n-sub", n_sub], "n_subcarriers"
         )
 
+    @pytest.mark.parametrize("xi", ["0.1,1.5", ""])
+    def test_invalid_loadings_rejected(self, capsys, monkeypatch, xi):
+        # every loading is checked before the first one is simulated
+        self.assert_rejected_before_simulating(capsys, monkeypatch, ["--xi", xi], "loading")
+
 
 class TestDatasheet:
     def test_embedded_table(self, capsys):
@@ -338,6 +351,68 @@ class TestDatasheet:
         header, _, rows = parse_csv(out)
         assert header["source"] == str(sheet)
         assert len(rows) == 1 and rows[0][0] == "AMP-A"
+
+
+LINK_KEYS = {"pa", "g_db", "alpha", "d_km", "noise_psd_dbm_hz", "bandwidth_hz"}
+GRID_KEYS = {"xi_grid_min", "xi_grid_max", "xi_grid_points"}
+# the flags only some subcommands take, each with a valid value
+OPTIONAL_FLAGS = {
+    "--pa": "SM2122-44L", "--bs-type": "macro", "--xi-grid": GRID, "--seed": "1",
+}
+# per subcommand: a quick run, its header keys, and the optional flags it reads
+FLAG_CASES = {
+    "se-sweep": (["--xi-grid", GRID], LINK_KEYS | GRID_KEYS | {"gamma_db"}, {"--pa", "--xi-grid"}),
+    "ee-sweep": (
+        ["--xi-grid", GRID],
+        LINK_KEYS | GRID_KEYS | {"bs_type", "n_ways", "p_fix_w", "c_slope"},
+        {"--pa", "--bs-type", "--xi-grid"},
+    ),
+    "tradeoff": (
+        ["--xi-grid", GRID],
+        LINK_KEYS | GRID_KEYS | {"bs_type", "n_ways", "window_lo", "window_hi"},
+        {"--pa", "--bs-type", "--xi-grid"},
+    ),
+    "optimal-xi": ([], LINK_KEYS | {"bs_type", "n_ways"}, {"--pa", "--bs-type"}),
+    "pas-frontier": (
+        ["--xi-grid", "0.1:1:5", "--targets", "2,8", "--duplex", "tdd"],
+        {
+            "pa_low", "pa_high", "p_fix_low_w", "p_fix_high_w", "bs_type", "duplex", "eps_s",
+            "gs_db", "frames", "frame_length_s", "xi_mode", "variant",
+        },
+        {"--bs-type", "--xi-grid"},
+    ),
+    "mc-validate": (
+        ["--xi", "0.2", "--samples", "4096", "--n-sub", "128"],
+        LINK_KEYS | {"seed", "samples", "n_subcarriers", "cp"},
+        {"--pa", "--seed"},
+    ),
+    "datasheet": ([], {"source"}, set()),
+}
+
+
+class TestFlagsMatchHeaders:
+    @pytest.mark.parametrize("command", sorted(FLAG_CASES))
+    def test_header_lists_exactly_the_flags_read(self, capsys, tmp_path, command):
+        argv, keys, _ = FLAG_CASES[command]
+        out = tmp_path / "table.csv"
+        code, _, err = run(capsys, command, *argv, "--out", str(out))
+        assert code == 0 and err == ""
+        assert set(parse_csv(out.read_text())[0]) == keys
+
+    @pytest.mark.parametrize("command", sorted(FLAG_CASES))
+    def test_flags_not_read_are_rejected(self, capsys, tmp_path, command):
+        _, _, reads = FLAG_CASES[command]
+        for flag in sorted(set(OPTIONAL_FLAGS) - reads):
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, OPTIONAL_FLAGS[flag]])
+            assert exc.value.code == 2
+            # the same key in a config file fails the same way
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag[2:].replace('-', '_')} = {OPTIONAL_FLAGS[flag]}\n")
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfg)])
+            assert exc.value.code == 2
+            capsys.readouterr()
 
 
 class TestParsing:

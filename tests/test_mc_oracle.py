@@ -13,11 +13,9 @@ from ofdmsee import (
     RappParams,
     analytic_radial_cdf,
     clip_probability,
-    dump_samples,
     empirical_pdf_distance,
     estimate_mi,
     estimate_mi_radial,
-    load_samples,
     mc_oracle,
     radial_statistics,
     rapp,
@@ -312,37 +310,3 @@ class TestMultipathBound:
         bound, est, slack = verify_multipath_bound(cfg, 0.1, scenario, prof)
         assert abs(slack) <= 0.1  # exact bound for one tap, MC noise only
 
-
-class TestDumpLoad:
-    def test_roundtrip(self, scenario, tmp_path):
-        cfg = make_config(n_frames=3)
-        y = simulate_frames(cfg, 0.2, scenario)
-        path = tmp_path / "samples.iqs"
-        dump_samples(y, path, cfg)
-        back, meta = load_samples(path)
-        np.testing.assert_array_equal(y, back)
-        assert meta == {"n_subcarriers": 256, "count": y.size, "seed": 1234}
-
-    def test_header_is_32_bytes_then_interleaved(self, scenario, tmp_path):
-        cfg = make_config(n_frames=1)
-        y = simulate_frames(cfg, 0.2, scenario)
-        path = tmp_path / "samples.iqs"
-        dump_samples(y, path, cfg)
-        raw = path.read_bytes()
-        assert len(raw) == 32 + 16 * y.size
-        assert raw[:8] == b"OFDMIQS1"
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"this is not a sample dump at all")
-        with pytest.raises(ValueError):
-            load_samples(path)
-
-    def test_rejects_truncated_file(self, scenario, tmp_path):
-        cfg = make_config(n_frames=1)
-        y = simulate_frames(cfg, 0.2, scenario)
-        path = tmp_path / "samples.iqs"
-        dump_samples(y, path, cfg)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError):
-            load_samples(path)

@@ -1,5 +1,6 @@
 """The package namespace: what `import ofdmsee` exports."""
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -41,3 +42,20 @@ def test_import_leaves_scipy_spatial_unloaded():
         cwd=src, capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_every_import_is_used_or_exported():
+    # a name a module imports but never reads nor re-exports is dead weight
+    unused = []
+    for path in sorted(Path(ofdmsee.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = "ofdmsee" if path.stem == "__init__" else "ofdmsee." + path.stem
+        exported = set(getattr(importlib.import_module(module), "__all__", ()))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name != "*" and name not in read and name not in exported:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

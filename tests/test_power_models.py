@@ -9,7 +9,6 @@ from ofdmsee import (
     BS_PRESETS,
     PowerModelParams,
     doherty_pieces,
-    pc_custom,
     pc_ideal,
     pc_linear,
     pc_nonlinear,
@@ -30,13 +29,8 @@ class TestPresets:
         with pytest.raises(ValueError):
             PowerModelParams(p_max_out=10.0, p_fix=math.nan, c=2.0)
 
-    def test_from_preset_overrides(self):
-        p = PowerModelParams.from_preset("macro", p_max_out=25.0)
-        assert p.p_max_out == 25.0 and p.p_fix == 130.0
-
     def test_derived_coefficients(self):
         p = BS_PRESETS["macro"]
-        assert p.p0 == p.p_fix
         assert p.c0 == pytest.approx(p.c * p.p_max_out, rel=1e-15)
 
 
@@ -124,12 +118,10 @@ class TestConsumption:
         pieces = doherty_pieces(params, n_ways=2)
         for x in np.linspace(0.01, 1.0, 57):
             want = pc_nonlinear(float(x), params, n_ways=2)
-            got = pc_custom(float(x), pieces)
+            # v1 + v2 * sqrt(x) on the one piece whose (lo, hi] holds x
+            ((_, _, v1, v2),) = [p for p in pieces if p[0] < x <= p[1]]
+            got = v1 + v2 * math.sqrt(x)
             assert got == pytest.approx(want, rel=1e-12)
-
-    def test_custom_requires_tiling(self):
-        with pytest.raises(ValueError):
-            pc_custom(0.5, [(0.0, 0.4, 1.0, 1.0), (0.5, 1.0, 1.0, 1.0)])
 
     def test_ideal_needs_real_gain(self):
         with pytest.raises(ValueError):
