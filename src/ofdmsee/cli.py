@@ -255,15 +255,18 @@ def _write_table(fmt, out, command, params, columns, rows):
     return out
 
 
-def _scenario_params(args, spec):
+def _channel_params(args):
     return {
-        "pa": spec.model_name,
         "g_db": args.g_db,
         "alpha": args.alpha,
         "d_km": args.d_km,
         "noise_psd_dbm_hz": args.noise_psd,
         "bandwidth_hz": args.bandwidth,
     }
+
+
+def _scenario_params(args, spec):
+    return {"pa": spec.model_name} | _channel_params(args)
 
 
 def _grid_params(grid):
@@ -374,6 +377,8 @@ _PAS_PRESETS = (
 
 
 def _cmd_pas_frontier(args):
+    if args.targets is not None and not args.targets:
+        raise ValueError("targets needs at least one SE target")
     low = _make_arm(args, args.pa_low)
     high = _make_arm(args, args.pa_high)
     explicit = not (args.duplex is None and args.eps is None and args.gs_db is None)
@@ -410,12 +415,13 @@ def _cmd_pas_frontier(args):
             n_ways=args.n_ways,
         )
         points = pas_frontier(targets, config, args.xi_grid, xi_mode=args.xi_mode)
-        params = {
+        params = _channel_params(args) | _grid_params(args.xi_grid) | {
             "pa_low": low.spec.model_name,
             "pa_high": high.spec.model_name,
             "p_fix_low_w": low.power.p_fix,
             "p_fix_high_w": high.power.p_fix,
             "bs_type": args.bs_type,
+            "n_ways": args.n_ways,
             "duplex": duplex.value,
             "eps_s": eps,
             "gs_db": gs_db,

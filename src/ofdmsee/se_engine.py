@@ -245,9 +245,9 @@ def entropy_y(xi, scenario):
     b_max. The panels concentrate on the signal bulk (8 panels out to ten
     standard deviations of the received sample) and on the clip ring (12
     panels from b_max - 12*sigma to r_cut), with 2 more across any gap
-    between the two; each carries 16 Gauss-Legendre nodes. f(r) = 0
+    between the two; each carries 8 Gauss-Legendre nodes. f(r) = 0
     contributes zero (0*log 0 = 0). The error check recomputes the integral
-    at 24 nodes and must agree to ENTROPY_TOL bits; gauss_panels splits the
+    at 12 nodes and must agree to ENTROPY_TOL bits; gauss_panels splits the
     panels if it does not, and raises IntegrationError if refinement cannot
     meet it.
     """
@@ -259,7 +259,7 @@ def entropy_y(xi, scenario):
         logf = np.log(np.where(f > 0.0, f, 1.0))
         return -2.0 * math.pi * radii * f * logf
 
-    h_nats = gauss_panels(integrand, edges, order=16, tol=ENTROPY_TOL * _LN2)
+    h_nats = gauss_panels(integrand, edges, order=8, tol=ENTROPY_TOL * _LN2)
     return h_nats / _LN2
 
 

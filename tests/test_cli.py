@@ -14,7 +14,7 @@ from ofdmsee import (
     se,
     simulate_frames,
 )
-from ofdmsee import cli
+from ofdmsee import cli, se_engine
 from ofdmsee.cli import main
 
 GRID = "0.05:0.8:5"
@@ -240,6 +240,20 @@ class TestPasFrontier:
         lossy = parse_csv((tmp_path / "pf-fdd-eps1ms.csv").read_text())[2]
         assert float(ideal[0][1]) >= float(lossy[0][1])
 
+    def test_empty_targets_rejected(self, capsys, monkeypatch):
+        def entropy(*args):
+            raise AssertionError("evaluated se() despite empty targets")
+
+        monkeypatch.setattr(se_engine, "entropy_y", entropy)
+        code, out, err = run(
+            capsys, "pas-frontier", "--targets", "", "--duplex", "tdd", "--xi-grid", "0.1:1:5"
+        )
+        assert code == 2 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert record["command"] == "pas-frontier"
+        assert "targets" in record["message"]
+
     def test_default_run_shares_se_curves(self, capsys, tmp_path, entropy_calls):
         # the default run makes 432 se() calls on 192 distinct inputs: the
         # probe's 48 loadings, then 2 arms x 48 loadings for each of the four
@@ -353,7 +367,8 @@ class TestDatasheet:
         assert len(rows) == 1 and rows[0][0] == "AMP-A"
 
 
-LINK_KEYS = {"pa", "g_db", "alpha", "d_km", "noise_psd_dbm_hz", "bandwidth_hz"}
+CHANNEL_KEYS = {"g_db", "alpha", "d_km", "noise_psd_dbm_hz", "bandwidth_hz"}
+LINK_KEYS = {"pa"} | CHANNEL_KEYS
 GRID_KEYS = {"xi_grid_min", "xi_grid_max", "xi_grid_points"}
 # the flags only some subcommands take, each with a valid value
 OPTIONAL_FLAGS = {
@@ -375,9 +390,9 @@ FLAG_CASES = {
     "optimal-xi": ([], LINK_KEYS | {"bs_type", "n_ways"}, {"--pa", "--bs-type"}),
     "pas-frontier": (
         ["--xi-grid", "0.1:1:5", "--targets", "2,8", "--duplex", "tdd"],
-        {
-            "pa_low", "pa_high", "p_fix_low_w", "p_fix_high_w", "bs_type", "duplex", "eps_s",
-            "gs_db", "frames", "frame_length_s", "xi_mode", "variant",
+        CHANNEL_KEYS | GRID_KEYS | {
+            "pa_low", "pa_high", "p_fix_low_w", "p_fix_high_w", "bs_type", "n_ways", "duplex",
+            "eps_s", "gs_db", "frames", "frame_length_s", "xi_mode", "variant",
         },
         {"--bs-type", "--xi-grid"},
     ),

@@ -294,6 +294,19 @@ class TestRadialMutualInformation(TestMutualInformation):
             radial_statistics(y[:50], 0.3, scenario)
 
 
+class TestKnnOracle:
+    def test_tree_order_query_is_the_plain_query(self):
+        # 20,000 points fill over a thousand leaves of 16, and the leaf
+        # order is far from the input order
+        from scipy.spatial import cKDTree
+
+        pts = np.random.default_rng(45).standard_normal((20000, 2))
+        tree = cKDTree(pts)
+        assert np.count_nonzero(tree.indices != np.arange(len(pts))) > len(pts) // 2
+        plain = tree.query(pts, k=[5])[0][:, 0]
+        assert np.array_equal(mc_oracle._kth_neighbor_distances(pts, 4), plain)
+
+
 class TestMultipathBound:
     def test_exponential_profile_bound_holds(self, scenario):
         p = np.exp(-np.arange(4) / 1.5)

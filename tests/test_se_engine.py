@@ -385,10 +385,13 @@ class TestEntropyLayout:
         assert _radial_window(sc)[0] == 0.0
         assert abs(h - entropy_y_80(xi, sc)) <= 1e-10
 
-    def test_first_check_meets_tolerance_everywhere(self, snr_scenario, monkeypatch):
-        # a layout that met ENTROPY_TOL only by splitting its panels would
-        # give the time back: each point's integrand runs exactly twice, once
-        # at 16 nodes and once for the check at 24
+    # 27 peak SNRs from -30 to 100 dB times 13 loadings from 1e-6 to 1
+    GRID_351 = [(g, x) for g in np.arange(-30.0, 101.0, 5.0) for x in np.geomspace(1e-6, 1.0, 13)]
+
+    @staticmethod
+    def count_integrand_calls(monkeypatch):
+        """Make entropy_y's gauss_panels count integrand calls; returns one
+        count per entropy_y call, appended as the calls happen."""
         real = se_engine.gauss_panels
         evals = []
 
@@ -401,10 +404,38 @@ class TestEntropyLayout:
             return real(counted, edges, **kw)
 
         monkeypatch.setattr(se_engine, "gauss_panels", counting)
-        points = [(g, x) for g in np.arange(-30.0, 101.0, 5.0) for x in np.geomspace(1e-6, 1.0, 13)]
+        return evals
+
+    def test_first_check_meets_tolerance_everywhere(self, snr_scenario, monkeypatch):
+        # a layout that met ENTROPY_TOL only by splitting its panels would
+        # give the time back: each point's integrand runs exactly twice, once
+        # at 8 nodes and once for the check at 12
+        evals = self.count_integrand_calls(monkeypatch)
+        points = self.GRID_351
         for g, x in points:
             entropy_y(float(x), snr_scenario(g))
         assert evals == [2] * len(points) == [2] * 351
+
+    def test_check_refines_a_coarse_ring(self, snr_scenario, monkeypatch):
+        # 4 ring panels instead of 12 under-resolve the clip ring at some
+        # points; the 12-node check must see that and split panels there
+        # rather than hand back the 8-node value
+        def coarse_edges(xi, scenario):
+            ring_lo, r_cut = _radial_window(scenario)
+            bulk_hi = min(r_cut, 10.0 * math.sqrt(scenario.signal_power(xi) + scenario.noise_variance))
+            parts = [np.linspace(0.0, bulk_hi, 9)]
+            if ring_lo > bulk_hi:
+                parts.append(np.linspace(bulk_hi, ring_lo, 3))
+            parts.append(np.linspace(ring_lo, r_cut, 5))
+            return np.unique(np.concatenate(parts))
+
+        points = [(float(x), snr_scenario(g)) for g, x in self.GRID_351]
+        default = [entropy_y(x, sc) for x, sc in points]
+        monkeypatch.setattr(se_engine, "_entropy_edges", coarse_edges)
+        evals = self.count_integrand_calls(monkeypatch)
+        coarse = [entropy_y(x, sc) for x, sc in points]
+        assert len(evals) == 351 and max(evals) > 2
+        assert max(abs(c - d) for c, d in zip(coarse, default)) <= 1e-9
 
 
 class TestSeMemo:
