@@ -377,8 +377,6 @@ _PAS_PRESETS = (
 
 
 def _cmd_pas_frontier(args):
-    if args.targets is not None and not args.targets:
-        raise ValueError("targets needs at least one SE target")
     low = _make_arm(args, args.pa_low)
     high = _make_arm(args, args.pa_high)
     explicit = not (args.duplex is None and args.eps is None and args.gs_db is None)

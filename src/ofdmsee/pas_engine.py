@@ -225,8 +225,11 @@ def pas_frontier(se_targets, config, xi_grid, xi_mode="shared"):
     kappa in {0, 1/K, ..., 1} and a loading grid, subject to the schedule SE
     reaching the target. shared mode uses one loading for both arms (the
     reference formulation); per_pa searches independent loadings (xi1, xi2).
-    Infeasible targets are returned marked rather than raised.
+    Infeasible targets come back marked; no, NaN, infinite or negative targets raise ValueError.
     """
+    targets = np.atleast_1d(np.asarray(se_targets, dtype=float))
+    if targets.size == 0 or not np.all(np.isfinite(targets) & (targets >= 0.0)):
+        raise ValueError("targets needs at least one SE target, each finite and >= 0")
     if xi_mode not in ("shared", "per_pa"):
         raise ValueError("xi_mode must be 'shared' or 'per_pa'")
     xis = np.unique(np.asarray(xi_grid, dtype=float))
@@ -243,7 +246,7 @@ def pas_frontier(se_targets, config, xi_grid, xi_mode="shared"):
     se_flat = se_mat.ravel()
     ee_flat = ee_mat.ravel()
     points = []
-    for target in np.atleast_1d(np.asarray(se_targets, dtype=float)):
+    for target in targets:
         mask = se_flat >= target - 1e-12
         if not np.any(mask):
             points.append(

@@ -164,9 +164,9 @@ def pdf_unclipped(r, xi, scenario):
     with a = r sqrt(2 gp / (T sigma^2)) and b = b_max sqrt(2 T / (gp sigma^2)).
 
     That complement (specfun.marcum_q1_complement) is the one evaluation
-    path: a 64-node ridge quadrature, in blocks of 64 radii. It is exactly 1
-    on interior radii, whose ridge lies more than 16 of its widths below
-    b_max (a + 16 < b), so there the density is the Gaussian itself.
+    path: one cumulative integral over the noncentrality per call. It is
+    exactly 1 on interior radii, whose ridge lies more than 16 of its widths
+    below b_max (a + 16 < b), so there the density is the Gaussian itself.
     """
     xi = float(check_loading(xi))
     rr = _as_radii(r)

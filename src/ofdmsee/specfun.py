@@ -1,8 +1,8 @@
 """Special functions and quadrature used by the analytic link formulas.
 
-The exponentially scaled modified Bessel function of the first kind I0
-(scipy's i0e), the first-order Marcum Q function by blocked ridge quadrature
-of the noncentral amplitude density, both real branches of the Lambert W
+The exponentially scaled modified Bessel function I0 (scipy's i0e), the
+first-order Marcum Q function as one cumulative integral of its derivative
+in the noncentrality (scipy's i1e), both real branches of the Lambert W
 function, and fixed Gauss-Legendre panels with an error check for vectorized
 integrands. The Marcum Q1 complement is the package's one Bessel-kernel
 integral: the unclipped received density in se_engine is a Gaussian times it.
@@ -12,7 +12,7 @@ import enum
 import math
 
 import numpy as np
-from scipy.special import i0e as bessel_i0e  # e^{-|x|} I0(x), even in x
+from scipy.special import i0e as bessel_i0e, i1e as bessel_i1e  # e^{-|x|} I0(x), I1(x)
 
 from ._common import scalar_like
 
@@ -59,26 +59,39 @@ def _leggauss(order):
 # ---------------------------------------------------------------------------
 # Marcum Q1
 
-# rows marcum_q1_complement integrates together: a block's temporaries are
-# _BLOCK_ROWS x 64 doubles (32 KB), so they stay in cache and reuse the
-# allocator's pages instead of faulting in fresh ones per call
+# marcum_q1_complement's lattice: panels _PANEL_H wide at b + k * _PANEL_H,
+# _PANEL_NODES Gauss-Legendre nodes each
+_PANEL_H = 0.5
+_PANEL_NODES = 8
+
+# rows per block of partial panels, so their temporaries stay small and in cache
 _BLOCK_ROWS = 64
+
+
+def _panel_sums(b, lo, hi):
+    # integral of dQ1/dt = b exp(-u^2/2) i1e(b (b + u)), t = b + u, over each [lo, hi]
+    # in u; einsum, not BLAS gemv, whose sum order depends on a row's place
+    x, w = _leggauss(_PANEL_NODES)
+    half = 0.5 * (hi - lo)
+    u = (0.5 * (hi + lo))[:, None] + half[:, None] * x
+    with np.errstate(under="ignore"):
+        vals = b * np.exp(-0.5 * u * u) * bessel_i1e(b * (b + u))
+    return half * np.einsum("ij,j->i", vals, w)
 
 
 def marcum_q1_complement(a, b):
     """1 - Q1(a, b) for a >= 0 (scalar or array of any shape) and a scalar b >= 0.
 
-    Ridge quadrature of the noncentral amplitude density
-    x exp(-(x-a)^2/2) i0e(a x) over [0, b]: 64 Gauss-Legendre nodes on the
-    window a +- 16 cut to [0, b], or on [b - 32, b] when the ridge lies
-    beyond b, so a small complement is integrated directly and keeps its
-    relative accuracy. Where the window ends below b (a + 16 < b) the mass
-    above b is below e^-128 and the complement is exactly 1.0.
+    1 - Q1(a, b) = int_a^inf dQ1/dt dt, whose integrand is positive, so small
+    complements keep their relative accuracy. Panels of 8 nodes on the lattice
+    t_k = b + k/2, which depends on b alone, run up to b + 40 (the integrand
+    underflows above) and are summed from the top down; a row adds its partial
+    panel [a, t_k] (t_k the first lattice point above a) to the sum above t_k,
+    so its value does not depend on the other rows of the call. Where
+    a + 16 < b, Q1 < e^-128 and the complement is exactly 1.0.
 
-    Rows go in blocks of _BLOCK_ROWS. Each row is reduced on its own (einsum,
-    not BLAS gemv, whose summation order depends on the row's place in the
-    block), so a row's value does not depend on which other rows share its
-    call.
+    Relative error against a 50-digit Bessel series: 7e-15 down to 1e-16, 9e-12
+    at 1e-33, 2.7e-10 at 1e-51, 1.4e-8 at 1e-89 (a - b = 20); 0 past a - b = 38.
     """
     arr = np.asarray(a, dtype=float).ravel()
     b = float(b)
@@ -87,22 +100,18 @@ def marcum_q1_complement(a, b):
     out = np.ones(arr.shape)
     edge = np.flatnonzero(arr + 16.0 >= b)
     if edge.size:
-        ae = arr[edge]
-        lo = np.maximum(0.0, ae - 16.0)
-        hi = np.minimum(b, ae + 16.0)
-        beyond = lo >= b
-        lo = np.where(beyond, max(0.0, b - 32.0), lo)
-        hi = np.where(beyond, b, hi)
-        t, w = _leggauss(64)
-        c = np.empty(edge.size)
-        with np.errstate(under="ignore"):
-            for start in range(0, edge.size, _BLOCK_ROWS):
-                rows = slice(start, start + _BLOCK_ROWS)
-                ar = ae[rows, None]
-                half = 0.5 * (hi[rows] - lo[rows])
-                x = (0.5 * (hi[rows] + lo[rows]))[:, None] + half[:, None] * t
-                vals = x * np.exp(-0.5 * (x - ar) ** 2) * bessel_i0e(ar * x)
-                c[rows] = half * np.einsum("ij,j->i", vals, w)
+        u = arr[edge] - b
+        top = int(40.0 / _PANEL_H)
+        # row i's partial panel ends at lattice point k[i], at most the top
+        k = np.minimum(np.floor(u / _PANEL_H).astype(int) + 1, top)
+        k0 = int(k.min())
+        lattice = np.arange(k0, top + 1) * _PANEL_H
+        # each lattice point's sum of the full panels above it, taken top down
+        full = _panel_sums(b, lattice[:-1], lattice[1:])
+        c = np.append(np.cumsum(full[::-1])[::-1], 0.0)[k - k0]
+        for start in range(0, edge.size, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            c[rows] += _panel_sums(b, u[rows], np.maximum(u[rows], k[rows] * _PANEL_H))
         out[edge] = np.clip(c, 0.0, 1.0)
     return scalar_like(a, out.reshape(np.shape(a)))
 

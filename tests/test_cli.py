@@ -254,6 +254,21 @@ class TestPasFrontier:
         assert record["command"] == "pas-frontier"
         assert "targets" in record["message"]
 
+    @pytest.mark.parametrize("targets", ["-3,nan", "nan", "inf", "2,-0.5"])
+    def test_invalid_targets_rejected(self, targets, capsys, monkeypatch):
+        def entropy(*args):
+            raise AssertionError("evaluated se() despite invalid targets")
+
+        monkeypatch.setattr(se_engine, "entropy_y", entropy)
+        code, out, err = run(
+            capsys, "pas-frontier", f"--targets={targets}", "--duplex", "tdd", "--xi-grid", "0.1:1:5"
+        )
+        assert code == 2 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert record["command"] == "pas-frontier"
+        assert "targets" in record["message"]
+
     def test_default_run_shares_se_curves(self, capsys, tmp_path, entropy_calls):
         # the default run makes 432 se() calls on 192 distinct inputs: the
         # probe's 48 loadings, then 2 arms x 48 loadings for each of the four

@@ -191,6 +191,16 @@ class TestFrontier:
         assert not pts[0].feasible
         assert math.isnan(pts[0].ee)
 
+    def test_zero_target_asks_for_the_best_ee(self, tdd_clean, grid):
+        pts = pas_frontier([0.0, 8.0, 16.0], tdd_clean, xi_grid=grid)
+        assert all(p.feasible for p in pts)
+        assert pts[0].ee == max(p.ee for p in pts)
+
+    @pytest.mark.parametrize("targets", [[], [math.nan], [math.inf], [8.0, -1e-9]])
+    def test_invalid_targets_rejected(self, targets, tdd_clean, grid):
+        with pytest.raises(ValueError, match="targets"):
+            pas_frontier(targets, tdd_clean, xi_grid=grid)
+
     def test_kappa_on_lattice(self, tdd_clean, grid):
         pts = pas_frontier([10.0, 15.0], tdd_clean, xi_grid=grid)
         for p in pts:

@@ -29,19 +29,20 @@ from ofdmsee import (
     se_sweep,
     xi_se_opt,
 )
-from ofdmsee import se_engine
+from ofdmsee import se_engine, specfun
 from ofdmsee.se_engine import ENTROPY_TOL, _entropy_edges, _radial_window
 from ofdmsee.specfun import _BLOCK_ROWS, gauss_panels
 
 
 def pdf_unclipped_256(r, xi, scenario):
     """The unclipped density as an amplitude integral at 256 Gauss-Legendre
-    nodes, an oracle for the 64-node Marcum complement pdf_unclipped runs on.
+    nodes, an oracle for the cumulative Marcum complement pdf_unclipped runs on.
 
-    Integrates over the signal amplitude rho instead of the Marcum variable
-    x = rho / w (w the ridge width), on the same window (16 ridge widths to
-    each side of the ridge, kept inside [0, b_max]), with four times the
-    nodes, all radii in one unblocked pass.
+    Integrates the Rician amplitude density over the signal amplitude rho
+    rather than over the noncentrality, on a window of 16 ridge widths to
+    each side of the ridge rho* = r gp / (gp + sigma^2), kept inside
+    [0, b_max] (or its last 32 widths when the ridge lies beyond b_max), all
+    radii in one unblocked pass.
     """
     r = np.asarray(r, dtype=float)
     gp = scenario.signal_power(xi)
@@ -65,8 +66,9 @@ def pdf_unclipped_256(r, xi, scenario):
 
 
 def interior(r, xi, scenario):
-    """Radii whose +-16-width ridge window ends below b_max, where the
-    unclipped density does not see the truncation."""
+    """Radii whose Marcum complement is exactly 1 (a + 16 < b: the ridge lies
+    more than 16 of its widths below b_max), where the unclipped density does
+    not see the truncation."""
     gp = scenario.signal_power(xi)
     s2 = scenario.noise_variance
     rho_star = np.asarray(r, dtype=float) * gp / (gp + s2)
@@ -101,9 +103,9 @@ def entropy_y_80(xi, scenario):
 
 
 # se(xi) on the reference macro link (G = 5 dB, alpha = 3.76, -174 dBm/Hz,
-# 10 MHz) at (PA, distance in km, xi), peak SNR from +100 to -24 dB, as the
-# 192-node, unblocked density computed it before its inner rule became
-# 64 nodes
+# 10 MHz) at (PA, distance in km, xi), peak SNR from +100 to -24 dB, as an
+# earlier, unblocked 192-node ridge quadrature of the density computed them;
+# the values are pinned, so they do not move with the Marcum rule se() runs on
 SE_FINGERPRINT = (
     ("SM2122-44L", 0.0102, 0.3, 30.950820685544578),  # 99.9 dB
     ("SM1720-50", 0.015, 0.001, 23.1136332392864),  # 99.6 dB
@@ -223,7 +225,10 @@ class TestRadialPdf:
             assert got == pytest.approx(ref, rel=1e-7, abs=1e-12), r
 
     def test_inner_rule_against_256_nodes(self, snr_scenario):
-        # 64 nodes reach 3e-11 here; 48 would miss the bound at 4e-8
+        # measured worst: 2.4e-10 at 100 dB, xi = 0.3, where b is about 1.4e5
+        # and rounding a and b to doubles alone moves the density by ~1e-10.
+        # Coarser lattices miss the bound: h = 1 at 6 nodes reaches 4.6e-8,
+        # h = 2 at 8 nodes 9.5e-9
         worst = 0.0
         for gamma_db in np.arange(-30.0, 101.0, 10.0):
             sc = snr_scenario(gamma_db)
@@ -249,7 +254,7 @@ class TestRadialPdf:
         assert got.shape == r.shape
         one = [pdf_unclipped(float(ri), xi, scenario) for ri in r]
         assert all(isinstance(v, float) for v in one)
-        np.testing.assert_allclose(got, one, rtol=1e-15, atol=0.0)
+        assert np.array_equal(got, one)
 
     def test_radii_of_any_shape(self, scenario):
         # a 2-D grid of radii, mixing interior and quadrature rows, gives the
@@ -289,6 +294,27 @@ class TestSpectralEfficiency:
             sc = build_scenario(5.0, 3.76, d_km, -174.0, 1e7, find_pa(model))
             err = abs(se(xi, sc) - want)
             assert err <= 1e-10, (model, d_km, xi, err)
+
+    def test_kernel_work_per_se(self, scenario, monkeypatch):
+        # a guard on kernel work that needs no timing: on the default
+        # pas-frontier grid (48 log-spaced loadings from 0.02 to 1) at the
+        # reference link, the Marcum complement hands specfun's Bessel
+        # kernels 3,630 elements per se()
+        elements = []
+
+        def counted(kernel):
+            def counting(x):
+                elements.append(np.size(x))
+                return kernel(x)
+
+            return counting
+
+        for name in ("bessel_i0e", "bessel_i1e"):
+            monkeypatch.setattr(specfun, name, counted(getattr(specfun, name)))
+        grid = np.geomspace(0.02, 1.0, 48)
+        for xi in grid:
+            se(float(xi), scenario)
+        assert 0 < sum(elements) <= 4000 * grid.size
 
     def test_rejects_out_of_range_loading(self, scenario):
         for bad in (0.0, 1.5, math.nan):

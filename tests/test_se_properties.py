@@ -1,16 +1,18 @@
 """Physical invariants of the exact spectral efficiency over the whole
-parameter space: peak SNR from -30 to +100 dB and loading from 1e-6 to 1."""
+parameter space: peak SNR from -30 to +100 dB and loading from 1e-6 to 1;
+and of the Marcum Q1 complement that truncates its unclipped density."""
 
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from ofdmsee import clip_probability, pdf_clipped, pdf_unclipped, se, se_ideal
+from ofdmsee import clip_probability, marcum_q1_complement, pdf_clipped, pdf_unclipped, se, se_ideal
 from ofdmsee.se_engine import _entropy_edges
-from ofdmsee.specfun import gauss_panels
+from ofdmsee.specfun import _PANEL_H, gauss_panels
 
 # each example costs at most two se() calls (~4 ms each) or two radial
 # mass integrals; the bounds keep the file under ten seconds, and
@@ -51,3 +53,19 @@ def test_branch_masses_on_entropy_panels(snr_scenario, g_db, xi):
     m_unclipped, m_clipped = mass(pdf_unclipped), mass(pdf_clipped)
     assert abs(m_unclipped + m_clipped - 1.0) <= 1e-9
     assert abs(m_clipped - clip_probability(xi)) <= 1e-9
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    b=st.floats(min_value=0.0, max_value=3000.0),
+    k=st.integers(min_value=-32, max_value=44),
+    step=st.floats(min_value=0.0, max_value=2.0),
+)
+def test_complement_nonincreasing_in_a(b, k, step):
+    # a larger noncentrality moves mass above b, so the complement cannot
+    # grow; the first two points straddle the lattice point b + k h, where a
+    # row's partial panel hands over to the running sum of full panels
+    t = b + k * _PANEL_H
+    a = np.maximum(0.0, t + np.asarray([-1e-9, 1e-9, 1e-9 + step]))
+    c = marcum_q1_complement(a, b)
+    assert np.all(np.diff(c) <= 1e-13 * c[:-1])

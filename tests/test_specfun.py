@@ -87,13 +87,28 @@ class TestMarcumQ1:
         assert got.shape == a.shape
         one = [marcum_q1_complement(float(ai), 9.0) for ai in a]
         assert all(isinstance(v, float) for v in one)
-        np.testing.assert_allclose(got, one, rtol=1e-15, atol=0.0)
+        # the lattice depends on b alone and is summed from its fixed top, so
+        # a row's value does not depend on the rows beside it
+        assert np.array_equal(got, one)
+
+    @pytest.mark.parametrize("b", [0.5, 2.0, 8.0, 30.0, 100.0, 500.0, 3000.0])
+    def test_complement_against_chndtr(self, b):
+        # 1 - Q1(a, b) is the CDF at b^2 of a noncentral chi-square with 2
+        # degrees of freedom and noncentrality a^2; relative accuracy holds
+        # down to complements of 1e-12 (worst 9.3e-13, at b = 3000)
+        a = np.linspace(max(0.0, b - 20.0), b + 8.0, 561)
+        got = marcum_q1_complement(a, b)
+        ref = scipy.special.chndtr(b * b, 2.0, a * a)
+        keep = ref >= 1e-12
+        assert keep.sum() > 100
+        err = np.abs(got[keep] - ref[keep]) / ref[keep]
+        assert err.max() <= 1e-11, (b, a[keep][np.argmax(err)], err.max())
 
     @pytest.mark.parametrize("b", [30.0, 300.0])
     def test_complement_is_one_below_the_ridge_window(self, b):
-        # rows whose +-16 ridge window ends below b (a + 16 < b) skip the
-        # quadrature and read exactly 1; rows just either side of that
-        # boundary agree with scipy
+        # rows with a more than 16 below b (Q1 < e^-128 there) skip the
+        # integral and read exactly 1; rows just either side of that boundary
+        # agree with scipy
         a = b - np.asarray([b, 25.0, 16.1, 16.0 + 1e-9, 16.0, 16.0 - 1e-9, 15.9, 10.0])
         got = marcum_q1_complement(a, b)
         shortcut = a + 16.0 < b
