@@ -1,6 +1,28 @@
-"""Argument and root-finding helpers shared by the modules of the package."""
+"""Helpers shared by the modules of the package, each written once: ln 2,
+the dB and dBm conversions, the finite-and-positive and loading-factor
+argument checks, and the bracketed root finder of the optimizers."""
+
+import math
 
 import numpy as np
+
+LN2 = math.log(2.0)
+
+
+def db_to_lin(db):
+    """Linear power ratio of a level in dB."""
+    return 10.0 ** (db / 10.0)
+
+
+def dbm_to_watts(dbm):
+    """Power in watts of a level in dBm."""
+    return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+def check_positive(name, value, when=""):
+    """ValueError "<name> must be finite and positive<when>" unless 0 < value < inf."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive{when}")
 
 
 def check_loading(xi):

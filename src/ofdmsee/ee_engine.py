@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import bracketed_root, check_loading
+from ._common import LN2, bracketed_root, check_loading
 from .power_models import doherty_pieces, pc_ideal, pc_nonlinear
 from .se_engine import se, se_ideal, xi_se_opt
 from .specfun import WBranch, lambert_w
@@ -32,8 +32,6 @@ __all__ = [
     "ee_breakdown",
     "ee_sweep",
 ]
-
-_LN2 = math.log(2.0)
 
 
 class InfeasibleError(RuntimeError):
@@ -82,11 +80,9 @@ def ee(xi, scenario, power_params, n_ways=2):
     """Practical energy efficiency, bits per joule.
 
     Bandwidth times the true spectral efficiency over the Doherty-model
-    consumed power at the same loading.
+    consumed power at the same loading: ee_breakdown's quotient.
     """
-    xi = float(check_loading(xi))
-    rate = scenario.bandwidth * se(xi, scenario)
-    return rate / pc_nonlinear(xi, power_params, n_ways=n_ways)
+    return ee_breakdown(xi, scenario, power_params, n_ways).ee_bits_per_joule
 
 
 def ee_linear(xi, scenario, power_params, n_ways=2):
@@ -113,28 +109,28 @@ def ee_linear_derivative(xi, scenario, power_params, n_ways=2):
     _, v1, v2 = _active_piece(xi, doherty_pieces(power_params, n_ways))
     gam = scenario.gamma
     root = math.sqrt(xi)
-    log_term = math.log2(1.0 + gam * xi)
-    inner = (2.0 / _LN2) * gam * (v1 * root + v2 * xi) / (1.0 + gam * xi) - v2 * log_term
+    log_term = se_ideal(xi, scenario)
+    inner = (2.0 / LN2) * gam * (v1 * root + v2 * xi) / (1.0 + gam * xi) - v2 * log_term
     return scenario.bandwidth / (2.0 * root * (v1 + v2 * root) ** 2) * inner
 
 
 def xi_ee_opt(scenario, power_params, method="closed_form", n_ways=2):
     """Loading factor maximizing the linear-PA EE bound, plus the piece index.
 
-    exact: per consumption piece, find the root of the EE derivative and
-    clamp it into the piece's admissible window (piece 1 into
-    [zeta, 1/n_ways^2], piece 2 into [1/n_ways^2, 1]); the candidate with
-    the larger ee_linear wins, ties resolved toward the smaller loading.
-    closed_form: same procedure with the explicit principal-branch Lambert-W
-    approximation (1/gamma)*exp(2 + 2*W(sqrt(gamma)/(e*v))) per piece.
+    exact: per consumption piece, the root of the EE derivative, or if it
+    has none the better end of the piece's admissible window (piece 1's is
+    [zeta, 1/n_ways^2], piece 2's [1/n_ways^2, 1]); the candidate with the
+    larger ee_linear wins, ties resolved toward the smaller loading.
+    closed_form: the explicit principal-branch Lambert-W approximation
+    (1/gamma)*exp(2 + 2*W(sqrt(gamma)/(e*v))) per piece, clamped into that
+    window. InfeasibleError if the winner lies below its piece's zeta, as
+    the exact root of a low-SNR link can.
     """
     if method not in ("exact", "closed_form"):
         raise ValueError("method must be 'exact' or 'closed_form'")
     pieces = doherty_pieces(power_params, n_ways)
     gam = scenario.gamma
-    first_lo, first_hi, v1_first, v2_first = pieces[0]
-    if v1_first <= 0.0:
-        raise InfeasibleError("fixed draw must be positive for the EE model")
+    _, _, v1_first, v2_first = pieces[0]
     zeta_first = zeta(v1_first, v2_first, gam)
     if zeta_first >= 1.0:
         raise InfeasibleError(
@@ -173,8 +169,8 @@ def xi_ee_opt(scenario, power_params, method="closed_form", n_ways=2):
             else:
                 arg = math.sqrt(gam) / (math.e * (v2 / v1))
                 root = math.exp(2.0 + 2.0 * lambert_w(arg, WBranch.PRINCIPAL)) / gam
-        clamped = min(max(root, clamp_lo), hi)
-        candidates.append((clamped, idx))
+                root = min(max(root, clamp_lo), hi)
+        candidates.append((root, idx))
     best = None
     best_val = None
     for cand, idx in candidates:
@@ -242,11 +238,10 @@ def ee_sweep(scenario, power_params, xi_values, n_ways=2):
         "pc_watts": np.empty_like(xis),
     }
     for i, x in enumerate(xis):
-        s = se(x, scenario)
-        pc = pc_nonlinear(x, power_params, n_ways=n_ways)
-        out["se_exact"][i] = s
-        out["ee_exact"][i] = scenario.bandwidth * s / pc
+        point = ee_breakdown(x, scenario, power_params, n_ways)
+        out["se_exact"][i] = point.se_bits
+        out["ee_exact"][i] = point.ee_bits_per_joule
         out["ee_linear"][i] = ee_linear(x, scenario, power_params, n_ways=n_ways)
         out["ee_ideal"][i] = ee_ideal(x, scenario, power_params)
-        out["pc_watts"][i] = pc
+        out["pc_watts"][i] = point.pc_watts
     return out

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma
 
-from ._common import check_loading
+from ._common import LN2, check_loading
 from .pa_models import RappParams, rapp
 from .se_engine import (
     ChannelProfile,
@@ -51,7 +51,6 @@ __all__ = [
     "verify_multipath_bound",
 ]
 
-_LN2 = math.log(2.0)
 _BATCH_FRAMES = 512
 # block length of the sample scans that must not allocate n-sized temporaries
 _BLOCK_SAMPLES = 65536
@@ -88,6 +87,8 @@ class FrameConfig:
             raise ValueError("n_subcarriers must be a power of two >= 64")
         if not isinstance(self.cp_length, (int, np.integer)) or self.cp_length < 0:
             raise ValueError("cp_length must be a non-negative integer")
+        if self.cp_length > n:
+            raise ValueError("cp_length must not exceed n_subcarriers")
         if not isinstance(self.n_frames, (int, np.integer)) or self.n_frames < 1:
             raise ValueError("n_frames must be a positive integer")
         if not isinstance(self.seed, (int, np.integer)) or not (0 <= self.seed < 2**64):
@@ -251,7 +252,7 @@ def estimate_mi(samples, scenario, k=4):
             "degenerate samples (duplicate points); the entropy estimate is undefined"
         )
     h_nats = digamma(y.size) - digamma(k) + math.log(math.pi) + 2.0 * float(np.mean(np.log(eps)))
-    h_bits = h_nats / _LN2
+    h_bits = h_nats / LN2
     return h_bits - noise_entropy(scenario)
 
 
@@ -307,7 +308,7 @@ def _mi_from_sorted(y, r, scenario):
         )
     log_sum = np.log(spacing, out=spacing).sum() + np.log(low).sum() + np.log(high).sum()
     h_nats = log_sum / n + math.log(n / (2.0 * m)) + math.log(math.pi)
-    return h_nats / _LN2 - noise_entropy(scenario)
+    return h_nats / LN2 - noise_entropy(scenario)
 
 
 def estimate_mi_radial(samples, scenario):

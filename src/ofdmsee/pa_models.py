@@ -1,9 +1,10 @@
 """Power amplifier models and datasheet handling.
 
 Two memoryless amplitude nonlinearities (ideal soft limiter and the Rapp
-smooth-saturation model), the clipping probability of a Gaussian OFDM signal,
-and a small embedded corpus of commercial PA datasheet rows with a CSV
-loader for user-supplied tables.
+smooth-saturation model), the clipping probability exp(-1/xi) of a Gaussian
+OFDM signal, which se_engine calls wherever it needs it, and a small
+embedded corpus of commercial PA datasheet rows with a CSV loader for
+user-supplied tables.
 """
 
 import csv
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import check_loading, scalar_like
+from ._common import check_loading, check_positive, db_to_lin, dbm_to_watts, scalar_like
 
 __all__ = [
     "PaSpec",
@@ -31,14 +32,6 @@ __all__ = [
 
 class DatasheetWarning(UserWarning):
     """Row-level issue in a PA datasheet (row kept or skipped as noted)."""
-
-
-def _db_to_lin(db):
-    return 10.0 ** (db / 10.0)
-
-
-def _dbm_to_watts(dbm):
-    return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -59,14 +52,12 @@ class PaSpec:
     turn_on_time: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.p_max_out) and self.p_max_out > 0.0):
-            raise ValueError("p_max_out must be finite and positive")
-        if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise ValueError("gain must be finite and positive")
+        check_positive("p_max_out", self.p_max_out)
+        check_positive("gain", self.gain)
         for field in ("supply_voltage", "supply_current", "turn_on_time"):
             v = getattr(self, field)
-            if v is not None and (not math.isfinite(v) or v <= 0.0):
-                raise ValueError(f"{field} must be finite and positive when given")
+            if v is not None:
+                check_positive(field, v, " when given")
 
     @property
     def p_max_in(self):
@@ -85,7 +76,7 @@ class PaSpec:
 
     @classmethod
     def from_db(cls, model_name, p_max_out_dbm, gain_db, **kw):
-        return cls(model_name, _dbm_to_watts(p_max_out_dbm), _db_to_lin(gain_db), **kw)
+        return cls(model_name, dbm_to_watts(p_max_out_dbm), db_to_lin(gain_db), **kw)
 
 
 @dataclass(frozen=True)
@@ -102,12 +93,9 @@ class RappParams:
     p: float = 2.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.gain) and self.gain > 0.0):
-            raise ValueError("gain must be finite and positive")
-        if not (math.isfinite(self.b_sat) and self.b_sat > 0.0):
-            raise ValueError("b_sat must be finite and positive")
-        if not (math.isfinite(self.p) and self.p > 0.0):
-            raise ValueError("smoothness p must be finite and positive")
+        check_positive("gain", self.gain)
+        check_positive("b_sat", self.b_sat)
+        check_positive("smoothness p", self.p)
 
 
 def soft_limiter(amplitude, spec):
@@ -286,10 +274,10 @@ def load_datasheet(source):
                 ma = _parse_cell(row, "current_mA", False, where)
                 pin = _parse_cell(row, "p_max_in_dBm", False, where)
                 ton = _parse_cell(row, "turn_on_us", False, where)
+                # PaSpec rejects NaN, inf and non-positive ratings
+                specs.append(_build_spec(model, pout, gdb, volts, ma, pin, ton, where))
             except ValueError as exc:
                 warnings.warn(f"{where}: {exc}; row skipped", DatasheetWarning, stacklevel=2)
-                continue
-            specs.append(_build_spec(model, pout, gdb, volts, ma, pin, ton, where))
         return specs
     finally:
         if close:

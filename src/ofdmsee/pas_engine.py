@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._common import check_positive, db_to_lin
 from .power_models import pc_nonlinear
 from .se_engine import se
 
@@ -102,8 +103,7 @@ class PasConfig:
     def __post_init__(self):
         if isinstance(self.duplex, str):
             object.__setattr__(self, "duplex", Duplex(self.duplex.lower()))
-        if not (math.isfinite(self.frame_length) and self.frame_length > 0.0):
-            raise ValueError("frame_length must be finite and positive")
+        check_positive("frame_length", self.frame_length)
         if not isinstance(self.frame_count, (int, np.integer)) or self.frame_count < 1:
             raise ValueError("frame_count must be a positive integer")
         if not (math.isfinite(self.kappa) and 0.0 <= self.kappa <= 1.0):
@@ -142,7 +142,7 @@ def pa_with_loss(scenario, insertion_loss_db):
         return scenario
     return replace(
         scenario,
-        noise_variance=scenario.noise_variance * 10.0 ** (insertion_loss_db / 10.0),
+        noise_variance=scenario.noise_variance * db_to_lin(insertion_loss_db),
     )
 
 

@@ -5,6 +5,10 @@ multi-way Doherty amplifier, plus the affine reference model and the ideal
 (output-only) lower bound. All loads are expressed through the input power
 loading factor xi in (0, 1], where xi * p_max_out is the peak-rated output
 power scaled by the load.
+
+The Doherty draw has one shape, _phi_doherty (1 at full load): pc_nonlinear
+scales it by the full-load PA draw c * p_max_out, ppa_doherty by the class-B
+full-load draw 4 * p_full / pi; doherty_pieces splits it into segments.
 """
 
 import math
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import check_loading, scalar_like
+from ._common import check_loading, check_positive, scalar_like
 
 __all__ = [
     "PowerModelParams",
@@ -45,9 +49,7 @@ class PowerModelParams:
 
     def __post_init__(self):
         for field in ("p_max_out", "p_fix", "c"):
-            v = getattr(self, field)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{field} must be finite and positive")
+            check_positive(field, getattr(self, field))
 
     @property
     def c0(self):
@@ -74,21 +76,15 @@ def _check_ways(n_ways):
 def ppa_doherty(xi, p_full, n_ways=2):
     """DC draw of an n-way Doherty amplifier at loading xi.
 
-    p_full is the amplifier's peak output power in watts. Draw follows the
-    class-B square-root law, restarting its slope at the Doherty transition
-    xi = 1/n_ways^2; peak efficiency pi/4 is reached both at the transition
-    and at full load. n_ways=1 is a plain class-B stage.
+    p_full is the amplifier's peak output power in watts. The draw is
+    pc_nonlinear's Doherty shape scaled to the class-B full-load draw
+    4 * p_full / pi, so peak efficiency pi/4 is reached at the transition
+    xi = 1/n_ways^2 and at full load. n_ways=1 is a plain class-B stage.
     """
     x = check_loading(xi)
     w = _check_ways(n_ways)
-    if not (math.isfinite(p_full) and p_full > 0.0):
-        raise ValueError("p_full must be finite and positive")
-    scale = 4.0 * p_full / (w * math.pi)
-    root = np.sqrt(x)
-    low = scale * root
-    high = scale * ((w + 1.0) * root - 1.0)
-    out = np.where(x <= 1.0 / w**2, low, high)
-    return scalar_like(xi, out)
+    check_positive("p_full", p_full)
+    return scalar_like(xi, 4.0 * p_full / math.pi * _phi_doherty(x, w))
 
 
 def _phi_doherty(x, w):

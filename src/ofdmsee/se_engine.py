@@ -18,7 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._common import bracketed_root, check_loading, scalar_like
+from ._common import (
+    LN2, bracketed_root, check_loading, check_positive, db_to_lin, dbm_to_watts, scalar_like
+)
+from .pa_models import clip_probability
 from .specfun import WBranch, bessel_i0e, gauss_panels, lambert_w, marcum_q1_complement
 
 __all__ = [
@@ -40,8 +43,6 @@ __all__ = [
     "se_sweep",
     "ENTROPY_TOL",
 ]
-
-_LN2 = math.log(2.0)
 
 # absolute tolerance of the entropy quadrature, bits
 ENTROPY_TOL = 1e-8
@@ -67,9 +68,7 @@ class LinkScenario:
 
     def __post_init__(self):
         for field in ("bandwidth", "noise_variance", "gain", "p_max_out"):
-            v = getattr(self, field)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{field} must be finite and positive")
+            check_positive(field, getattr(self, field))
 
     @property
     def gamma(self):
@@ -126,13 +125,11 @@ def build_scenario(g_db, alpha, d_km, noise_psd_dbm_hz, bandwidth, spec):
     the linear attenuation. spec provides the amplifier's output rating and
     gain.
     """
-    if not (math.isfinite(d_km) and d_km > 0.0):
-        raise ValueError("d_km must be finite and positive")
-    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
-        raise ValueError("bandwidth must be finite and positive")
+    check_positive("d_km", d_km)
+    check_positive("bandwidth", bandwidth)
     att_db = g_db - 128.0 + 10.0 * math.log10(d_km ** (-alpha))
-    noise_watts = 10.0 ** ((noise_psd_dbm_hz - 30.0) / 10.0) * bandwidth
-    sigma2 = noise_watts / 10.0 ** (att_db / 10.0)
+    noise_watts = dbm_to_watts(noise_psd_dbm_hz) * bandwidth
+    sigma2 = noise_watts / db_to_lin(att_db)
     return LinkScenario(
         bandwidth=bandwidth,
         noise_variance=sigma2,
@@ -196,7 +193,7 @@ def pdf_clipped(r, xi, scenario):
     rr = _as_radii(r)
     s2 = scenario.noise_variance
     bmax = scenario.b_max
-    weight = math.exp(-1.0 / xi) / (math.pi * s2)
+    weight = clip_probability(xi) / (math.pi * s2)
     with np.errstate(under="ignore"):
         out = weight * np.exp(-((rr - bmax) ** 2) / s2) * bessel_i0e(2.0 * bmax * rr / s2)
     return scalar_like(r, out)
@@ -259,8 +256,8 @@ def entropy_y(xi, scenario):
         logf = np.log(np.where(f > 0.0, f, 1.0))
         return -2.0 * math.pi * radii * f * logf
 
-    h_nats = gauss_panels(integrand, edges, order=8, tol=ENTROPY_TOL * _LN2)
-    return h_nats / _LN2
+    h_nats = gauss_panels(integrand, edges, order=8, tol=ENTROPY_TOL * LN2)
+    return h_nats / LN2
 
 
 @contextlib.contextmanager
@@ -316,10 +313,8 @@ def se_ibo(xi, scenario):
     deep-backoff limit.
     """
     xi = float(check_loading(xi))
-    s2 = scenario.noise_variance
-    base = math.log2(1.0 + scenario.gamma * xi)
-    clip = math.exp(-1.0 / xi)
-    return base + clip * (1.0 / (xi * _LN2) + math.log2(math.pi * math.e * s2))
+    clip = clip_probability(xi)
+    return se_ideal(xi, scenario) + clip * (1.0 / (xi * LN2) + noise_entropy(scenario))
 
 
 def _stationarity_residual(xi, scenario):
@@ -327,7 +322,7 @@ def _stationarity_residual(xi, scenario):
     s2 = scenario.noise_variance
     gam = scenario.gamma
     lhs = gam / (1.0 + gam * xi)
-    rhs = math.exp(-1.0 / xi) * xi**-2.0 * (-1.0 / xi + 1.0 - math.log(math.pi * math.e * s2))
+    rhs = clip_probability(xi) * xi**-2.0 * (-1.0 / xi + 1.0 - math.log(math.pi * math.e * s2))
     return lhs - rhs
 
 
@@ -435,5 +430,5 @@ def se_sweep(scenario, xi_values):
         out["se_exact"][i] = se(x, scenario)
         out["se_ideal"][i] = se_ideal(x, scenario)
         out["se_ibo"][i] = se_ibo(x, scenario)
-        out["pr_clip"][i] = math.exp(-1.0 / x)
+        out["pr_clip"][i] = clip_probability(x)
     return out

@@ -6,6 +6,7 @@ import pytest
 
 from ofdmsee import (
     STANDING_DRAW_PER_WATT,
+    DatasheetWarning,
     FrameConfig,
     empirical_pdf_distance,
     estimate_mi,
@@ -358,6 +359,10 @@ class TestMcValidate:
         # every loading is checked before the first one is simulated
         self.assert_rejected_before_simulating(capsys, monkeypatch, ["--xi", xi], "loading")
 
+    def test_cp_longer_than_the_frame_rejected(self, capsys, monkeypatch):
+        # --cp 300 on 256 subcarriers once exited with a numpy broadcast error
+        self.assert_rejected_before_simulating(capsys, monkeypatch, ["--cp", "300"], "cp_length")
+
 
 class TestDatasheet:
     def test_embedded_table(self, capsys):
@@ -380,6 +385,16 @@ class TestDatasheet:
         header, _, rows = parse_csv(out)
         assert header["source"] == str(sheet)
         assert len(rows) == 1 and rows[0][0] == "AMP-A"
+
+    def test_row_failing_the_spec_is_skipped(self, capsys, tmp_path):
+        # a NaN rating once aborted the whole load with exit 2
+        sheet = tmp_path / "amps.csv"
+        sheet.write_text("model,p_max_out_dBm,gain_dB\nX,nan,30\nAMP-A,44.0,55.0\n")
+        with pytest.warns(DatasheetWarning, match="row skipped"):
+            code, out, _ = run(capsys, "datasheet", "--file", str(sheet))
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert [row[0] for row in rows] == ["AMP-A"]
 
 
 CHANNEL_KEYS = {"g_db", "alpha", "d_km", "noise_psd_dbm_hz", "bandwidth_hz"}

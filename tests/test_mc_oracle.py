@@ -85,6 +85,15 @@ class TestFrameConfig:
         with pytest.raises(ValueError):
             make_config(cp_length=-1)
 
+    def test_cp_longer_than_the_frame_rejected(self, scenario):
+        # such a prefix once failed inside simulate_frames with a numpy
+        # broadcast error
+        with pytest.raises(ValueError, match="cp_length"):
+            make_config(n_subcarriers=256, cp_length=257)
+        # a prefix of the whole frame is still a valid shape
+        config = make_config(n_subcarriers=64, cp_length=64, n_frames=2)
+        assert simulate_frames(config, 0.2, scenario).shape == (2 * 64,)
+
 
 class TestSimulateFrames:
     def test_shape_and_determinism(self, scenario):

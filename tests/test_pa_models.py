@@ -150,6 +150,23 @@ class TestDatasheet:
             specs = load_datasheet(io.StringIO(csv))
         assert [s.model_name for s in specs] == ["GOOD-1", "GOOD-2"]
 
+    def test_loader_skips_rows_that_fail_the_spec(self):
+        # the cells parse, but PaSpec rejects the values they give
+        csv = (
+            "model,p_max_out_dBm,gain_dB,voltage_V,current_mA\n"
+            "GOOD-1,40,30,12,4000\n"
+            "X,nan,30,12,4000\n"
+            "Y,40,inf,12,4000\n"
+            "Z,40,30,-12,4000\n"
+            "GOOD-2,30,20,5,1000\n"
+        )
+        with pytest.warns(DatasheetWarning) as record:
+            specs = load_datasheet(io.StringIO(csv))
+        assert [s.model_name for s in specs] == ["GOOD-1", "GOOD-2"]
+        assert [str(w.message).split(":")[0] for w in record] == [
+            "datasheet line 3", "datasheet line 4", "datasheet line 5",
+        ]
+
     def test_loader_requires_mandatory_columns(self):
         with pytest.raises(ValueError):
             load_datasheet(io.StringIO("model,foo\nX,1\n"))

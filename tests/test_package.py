@@ -8,6 +8,9 @@ from pathlib import Path
 
 import ofdmsee
 
+# a model formula's spelling, and the one module allowed to write it
+FORMULA_HOMES = {"exp(-1.0 / ": "pa_models", "10.0 ** (": "_common", "log(2.0)": "_common"}
+
 MODULES = ("specfun", "pa_models", "power_models", "se_engine", "ee_engine", "pas_engine", "mc_oracle")
 
 
@@ -59,3 +62,15 @@ def test_every_import_is_used_or_exported():
                     if name != "*" and name not in read and name not in exported:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_each_formula_is_written_in_one_module():
+    # the clip probability lives in pa_models, the dB conversions and ln 2
+    # in _common; every other module calls them rather than copying them
+    copies = []
+    for path in sorted(Path(ofdmsee.__file__).resolve().parent.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            for spelling, home in FORMULA_HOMES.items():
+                if spelling in line and path.stem != home:
+                    copies.append(f"{path.name}:{lineno} {spelling.strip()}")
+    assert copies == []

@@ -64,6 +64,20 @@ class TestDohertySupply:
         draws = [ppa_doherty(float(x), 10.0, n_ways=2) for x in xs]
         assert all(b >= a for a, b in zip(draws, draws[1:]))
 
+    @pytest.mark.parametrize("kind", sorted(BS_PRESETS))
+    def test_is_the_shape_pc_nonlinear_evaluates(self, kind):
+        # ppa_doherty is pc_nonlinear's PA term with its full-load draw c0
+        # replaced by the class-B full-load draw 4p/pi. The grid starts at
+        # 1e-3: below it pc - p_fix cancels more than 1e-12 of its digits
+        params = BS_PRESETS[kind]
+        p = params.p_max_out
+        for w in (1, 2, 3, 4):
+            xs = np.concatenate([np.geomspace(1e-3, 1.0, 301), [1.0 / w**2]])
+            pa_term = (pc_nonlinear(xs, params, n_ways=w) - params.p_fix) / params.c0
+            np.testing.assert_allclose(
+                ppa_doherty(xs, p, n_ways=w), 4.0 * p / math.pi * pa_term, rtol=1e-12, atol=0.0
+            )
+
 
 class TestConsumption:
     @pytest.mark.parametrize("kind", sorted(BS_PRESETS))
