@@ -1,9 +1,9 @@
 """Energy efficiency of the link and the SE-EE tradeoff window.
 
 Sweeps bits-per-joule against the loading factor, reports the best
-loading found by the closed form and by the derivative root, and prints
-the loading window inside which spectral and energy efficiency trade
-against each other.
+loading found by the exact maximizer and by the paper's closed form, and
+prints the loading window inside which spectral and energy efficiency
+trade against each other.
 """
 
 import argparse
@@ -18,6 +18,7 @@ from ofdmsee import (
     ee_breakdown,
     find_pa,
     pareto_window,
+    xi_ee_max,
     xi_ee_opt,
 )
 
@@ -38,12 +39,12 @@ def main():
         b = ee_breakdown(xi, scen, power, n_ways=args.n_ways)
         print(f"  {xi:6.4f}  {b.ee_bits_per_joule:12.1f}  {b.pc_watts:9.3f}  {b.se_bits:8.4f}")
 
-    cf, piece_cf = xi_ee_opt(scen, power, method="closed_form", n_ways=args.n_ways)
-    ex, piece_ex = xi_ee_opt(scen, power, method="exact", n_ways=args.n_ways)
-    print(f"\nbest loading, closed form:     xi={cf:.6f} (piece {piece_cf}) "
-          f"-> {ee(cf, scen, power, n_ways=args.n_ways):.1f} b/J")
-    print(f"best loading, derivative root: xi={ex:.6f} (piece {piece_ex}) "
+    ex, piece_ex = xi_ee_max(scen, power, n_ways=args.n_ways)
+    cf, piece_cf = xi_ee_opt(scen, power, n_ways=args.n_ways)
+    print(f"\nbest loading, exact:       xi={ex:.6f} (piece {piece_ex}) "
           f"-> {ee(ex, scen, power, n_ways=args.n_ways):.1f} b/J")
+    print(f"best loading, closed form: xi={cf:.6f} (piece {piece_cf}) "
+          f"-> {ee(cf, scen, power, n_ways=args.n_ways):.1f} b/J")
     lo, hi = pareto_window(scen, power, n_ways=args.n_ways)
     print(f"SE-EE tradeoff window: xi in [{lo:.6f}, {hi:.6f}]")
 

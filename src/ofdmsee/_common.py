@@ -1,12 +1,15 @@
 """Helpers shared by the modules of the package, each written once: ln 2,
-the dB and dBm conversions, the finite-and-positive and loading-factor
-argument checks, and the bracketed root finder of the optimizers."""
+the dB and dBm conversions, the finite-and-positive, finite-and-nonnegative
+and loading-factor argument checks, and the golden-section maximizer of the
+exact optimizers."""
 
 import math
 
 import numpy as np
 
 LN2 = math.log(2.0)
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def db_to_lin(db):
@@ -23,6 +26,12 @@ def check_positive(name, value, when=""):
     """ValueError "<name> must be finite and positive<when>" unless 0 < value < inf."""
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive{when}")
+
+
+def check_nonnegative(name, value):
+    """ValueError "<name> must be finite and >= 0" unless 0 <= value < inf."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0")
 
 
 def check_loading(xi):
@@ -44,27 +53,26 @@ def scalar_like(template, value):
     return value
 
 
-def bracketed_root(g, lo, hi):
-    """A root of the scalar function g in [lo, hi], or None.
+def golden_max(f, lo, hi):
+    """(x, f(x)) at the maximum of f on the closed bracket [lo, hi], 0 < lo < hi.
 
-    Scans g at 64 log-spaced points for the first sign change (None if there
-    is none), then bisects that bracket until it is 1e-14 * max(1, upper end)
-    wide, 200 steps at most, and returns the bracket's midpoint.
+    Golden-section search (Kiefer 1953) on log x: each call of f shrinks the
+    bracket by the golden ratio until it is 1e-10 wide in log x, about 55
+    calls for a bracket of twelve decades. The ends lo and hi are candidates
+    too and win ties. For f unimodal on the bracket that is its maximum;
+    otherwise a local maximum.
     """
-    grid = np.geomspace(lo, hi, 64)
-    vals = np.asarray([g(x) for x in grid])
-    change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-    if change.size == 0:
-        return None
-    a, b = float(grid[change[0]]), float(grid[change[0] + 1])
-    fa = g(a)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = g(m)
-        if fa * fm <= 0.0:
-            b = m
+    ends = [(lo, f(lo)), (hi, f(hi))]
+    a, b = math.log(lo), math.log(hi)
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(math.exp(c)), f(math.exp(d))
+    while b - a > 1e-10:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(math.exp(c))
         else:
-            a, fa = m, fm
-        if b - a <= 1e-14 * max(1.0, b):
-            break
-    return 0.5 * (a + b)
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(math.exp(d))
+    return max(ends + [(math.exp(c), fc), (math.exp(d), fd)], key=lambda point: point[1])

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from ._common import check_loading
-from .ee_engine import ee_sweep, xi_ee_opt, pareto_window
+from .ee_engine import InfeasibleError, ee_sweep, pareto_window, xi_ee_max, xi_ee_opt
 from .mc_oracle import FrameConfig, radial_statistics, simulate_frames
 from .pa_models import (
     drain_efficiency,
@@ -28,7 +28,7 @@ from .pa_models import (
 )
 from .pas_engine import Duplex, PasConfig, pas_frontier, switched_arm
 from .power_models import BS_PRESETS
-from .se_engine import build_scenario, se, se_ibo, se_memo, se_sweep, xi_se_opt
+from .se_engine import build_scenario, se, se_ibo, se_memo, se_sweep, xi_se_max, xi_se_opt
 
 _FIGURES = {
     "se-sweep": "se-vs-loading",
@@ -135,7 +135,9 @@ def _build_parser():
     _common_args(p, "pa", "bs-type", "xi-grid")
     p.add_argument("--n-ways", type=int, default=2)
 
-    p = sub.add_parser("optimal-xi", help="optimal loading factors, all methods")
+    p = sub.add_parser(
+        "optimal-xi", help="optimal loading factors: exact optimum and paper closed form"
+    )
     _common_args(p, "pa", "bs-type")
     p.add_argument("--n-ways", type=int, default=2)
 
@@ -337,27 +339,36 @@ def _cmd_tradeoff(args):
     return 0
 
 
+def _closed_form_row(quantity, closed_form):
+    """(quantity, "closed-form", xi, piece, reason), closed_form() giving
+    (xi, piece). Outside the form's domain xi and piece are empty and reason
+    names the error; otherwise reason is None."""
+    try:
+        return (quantity, "closed-form", *closed_form(), None)
+    except (ValueError, InfeasibleError) as exc:
+        return (quantity, "closed-form", "", "", f"{type(exc).__name__}: {exc}")
+
+
 def _cmd_optimal_xi(args):
     spec = _resolve_pa(args.pa)
     scen = _make_scenario(args, spec)
     power = _power_params(args, spec)
-    xi_se_cf = xi_se_opt(scen, method="closed_form")
-    xi_se_ex = xi_se_opt(scen, method="exact_root")
-    xi_ee_cf, piece_cf = xi_ee_opt(scen, power, method="closed_form", n_ways=args.n_ways)
-    xi_ee_ex, piece_ex = xi_ee_opt(scen, power, method="exact", n_ways=args.n_ways)
     params = _scenario_params(args, spec)
     params.update(bs_type=args.bs_type, n_ways=args.n_ways)
     columns = ("quantity", "method", "xi", "piece")
     rows = [
-        ("xi_se", "closed-form", xi_se_cf, ""),
-        ("xi_se", "stationarity-root", xi_se_ex, ""),
-        ("xi_ee", "closed-form", xi_ee_cf, piece_cf),
-        ("xi_ee", "derivative-root", xi_ee_ex, piece_ex),
+        ("xi_se", "exact", xi_se_max(scen), "", None),
+        _closed_form_row("xi_se", lambda: (xi_se_opt(scen), "")),
+        ("xi_ee", "exact", *xi_ee_max(scen, power, n_ways=args.n_ways), None),
+        _closed_form_row("xi_ee", lambda: xi_ee_opt(scen, power, n_ways=args.n_ways)),
     ]
-    for quantity, label, value, piece in rows:
+    for quantity, label, value, piece, reason in rows:
         suffix = f" (piece {piece})" if piece != "" else ""
-        print(f"{quantity} {label}: {_fmt(value)}{suffix}")
+        print(f"{quantity} {label}: {_fmt(value)}{suffix}".rstrip())
+        if reason is not None:
+            print(f"# {quantity} {label} is outside its domain: {reason}")
     if args.out is not None:
+        rows = [row[:4] for row in rows]
         _write_table(args.format, args.out, "optimal-xi", params, columns, rows)
     return 0
 

@@ -2,8 +2,8 @@
 
 Bits-per-joule metrics pairing the spectral-efficiency engine with the
 load-dependent consumption models: the practical EE, its linear-amplifier
-and lossless-amplifier bounds, the piecewise derivative of the linear-PA
-bound, loading-factor optimizers (derivative root and explicit Lambert-W
+and lossless-amplifier bounds, two loading-factor optimizers (the exact
+maximizer of the practical EE and the paper's explicit Lambert-W
 approximation), and the window of loadings where spectral and energy
 efficiency trade off against each other.
 """
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import LN2, bracketed_root, check_loading
+from ._common import check_loading, golden_max
 from .power_models import doherty_pieces, pc_ideal, pc_nonlinear
-from .se_engine import se, se_ideal, xi_se_opt
+from .se_engine import XI_FLOOR, se, se_ideal, se_memo, xi_se_opt
 from .specfun import WBranch, lambert_w
 
 __all__ = [
@@ -25,9 +25,9 @@ __all__ = [
     "ee",
     "ee_linear",
     "ee_ideal",
-    "ee_linear_derivative",
     "zeta",
     "xi_ee_opt",
+    "xi_ee_max",
     "pareto_window",
     "ee_breakdown",
     "ee_sweep",
@@ -66,9 +66,11 @@ def _active_piece(xi, pieces):
 def zeta(v1, v2, gamma):
     """Quasi-concavity threshold of the linear-PA EE on one consumption piece.
 
-    Below this loading the square-root consumption growth outruns the rate
-    term and the EE bound is increasing; the optimizers assume their root
-    lies above it.
+    (v + sqrt(1 + v^2))^2 / gamma^2 with v = v2/v1. xi_ee_opt clamps its
+    closed-form root up to it, assuming the EE bound rises below it. That
+    does not hold on every link: the bound can peak below zeta and fall
+    between the peak and zeta, as with PA1157 under the femto preset at
+    12 dB and one way (peak 0.48, zeta 0.71). xi_ee_max needs no zeta.
     """
     if v1 <= 0.0:
         raise ValueError("zeta requires v1 > 0")
@@ -99,35 +101,17 @@ def ee_ideal(xi, scenario, power_params):
     return rate / pc_ideal(xi, power_params, scenario.gain)
 
 
-def ee_linear_derivative(xi, scenario, power_params, n_ways=2):
-    """d ee_linear / d xi on the active consumption piece.
-
-    At a piece boundary the derivative is the one-sided value of the piece
-    the boundary belongs to (upper-inclusive pieces).
-    """
-    xi = float(check_loading(xi))
-    _, v1, v2 = _active_piece(xi, doherty_pieces(power_params, n_ways))
-    gam = scenario.gamma
-    root = math.sqrt(xi)
-    log_term = se_ideal(xi, scenario)
-    inner = (2.0 / LN2) * gam * (v1 * root + v2 * xi) / (1.0 + gam * xi) - v2 * log_term
-    return scenario.bandwidth / (2.0 * root * (v1 + v2 * root) ** 2) * inner
-
-
-def xi_ee_opt(scenario, power_params, method="closed_form", n_ways=2):
+def xi_ee_opt(scenario, power_params, n_ways=2):
     """Loading factor maximizing the linear-PA EE bound, plus the piece index.
 
-    exact: per consumption piece, the root of the EE derivative, or if it
-    has none the better end of the piece's admissible window (piece 1's is
-    [zeta, 1/n_ways^2], piece 2's [1/n_ways^2, 1]); the candidate with the
-    larger ee_linear wins, ties resolved toward the smaller loading.
-    closed_form: the explicit principal-branch Lambert-W approximation
-    (1/gamma)*exp(2 + 2*W(sqrt(gamma)/(e*v))) per piece, clamped into that
-    window. InfeasibleError if the winner lies below its piece's zeta, as
-    the exact root of a low-SNR link can.
+    The paper's explicit principal-branch Lambert-W approximation
+    (1/gamma)*exp(2 + 2*W(sqrt(gamma)/(e*v))) per consumption piece, clamped
+    into the piece's admissible window (piece 1's is [zeta, 1/n_ways^2],
+    piece 2's [1/n_ways^2, 1]); the candidate with the larger ee_linear
+    wins, ties resolved toward the smaller loading. InfeasibleError if the
+    first piece's zeta reaches full load, or if the winner lies below the
+    zeta of the piece it falls in.
     """
-    if method not in ("exact", "closed_form"):
-        raise ValueError("method must be 'exact' or 'closed_form'")
     pieces = doherty_pieces(power_params, n_ways)
     gam = scenario.gamma
     _, _, v1_first, v2_first = pieces[0]
@@ -149,27 +133,17 @@ def xi_ee_opt(scenario, power_params, method="closed_form", n_ways=2):
     for idx, (lo, hi, v1, v2) in enumerate(pieces, start=1):
         clamp_lo = max(zeta(v1, v2, gam), lo) if v1 > 0.0 else lo
         clamp_lo = min(max(clamp_lo, 1e-300), hi)
-        if method == "exact":
-            root = bracketed_root(
-                lambda x: ee_linear_derivative(x, scenario, power_params, n_ways),
-                max(lo, 1e-12),
-                hi,
+        if v1 <= 0.0:
+            warnings.warn(
+                "piece %d has non-positive v1; closed-form candidate "
+                "replaced by the better piece endpoint" % idx,
+                RuntimeWarning,
             )
-            if root is None:
-                # derivative one-signed on the piece: an endpoint is optimal
-                root = better_end(clamp_lo, hi)
+            root = better_end(clamp_lo, hi)
         else:
-            if v1 <= 0.0:
-                warnings.warn(
-                    "piece %d has non-positive v1; closed-form candidate "
-                    "replaced by the better piece endpoint" % idx,
-                    RuntimeWarning,
-                )
-                root = better_end(clamp_lo, hi)
-            else:
-                arg = math.sqrt(gam) / (math.e * (v2 / v1))
-                root = math.exp(2.0 + 2.0 * lambert_w(arg, WBranch.PRINCIPAL)) / gam
-                root = min(max(root, clamp_lo), hi)
+            arg = math.sqrt(gam) / (math.e * (v2 / v1))
+            root = math.exp(2.0 + 2.0 * lambert_w(arg, WBranch.PRINCIPAL)) / gam
+            root = min(max(root, clamp_lo), hi)
         candidates.append((root, idx))
     best = None
     best_val = None
@@ -191,6 +165,28 @@ def xi_ee_opt(scenario, power_params, method="closed_form", n_ways=2):
     return xi_star, piece
 
 
+def xi_ee_max(scenario, power_params, n_ways=2):
+    """Loading factor in (0, 1] that maximizes ee() itself, plus its piece.
+
+    Golden-section search on log xi over each consumption piece, ends
+    included (the first piece from XI_FLOOR); the piece maximum with the
+    larger ee() wins, ties to the lower piece. The piece index is that of
+    the winning loading, pieces being upper-inclusive. No approximation of
+    se() and no zeta hypothesis enter.
+    """
+    pieces = doherty_pieces(power_params, n_ways)
+    best_xi, best_ee = None, -math.inf
+    # the pieces share their breakpoint, which each search evaluates
+    with se_memo():
+        for lo, hi, _, _ in pieces:
+            xi, val = golden_max(
+                lambda x: ee(x, scenario, power_params, n_ways), max(lo, XI_FLOOR), hi
+            )
+            if val > best_ee:
+                best_xi, best_ee = xi, val
+    return best_xi, _active_piece(best_xi, pieces)[0]
+
+
 def pareto_window(scenario, power_params, n_ways=2):
     """Loading interval between the approximated EE and SE optima.
 
@@ -198,8 +194,8 @@ def pareto_window(scenario, power_params, n_ways=2):
     as the loading changes (a genuine tradeoff); outside it both improve
     toward the window. Endpoints use the closed-form optimizers.
     """
-    xi_se = xi_se_opt(scenario, method="closed_form")
-    xi_ee, _ = xi_ee_opt(scenario, power_params, method="closed_form", n_ways=n_ways)
+    xi_se = xi_se_opt(scenario)
+    xi_ee, _ = xi_ee_opt(scenario, power_params, n_ways=n_ways)
     return (min(xi_ee, xi_se), max(xi_ee, xi_se))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._common import check_positive, db_to_lin
+from ._common import check_nonnegative, check_positive, db_to_lin
 from .power_models import pc_nonlinear
 from .se_engine import se
 
@@ -108,10 +108,8 @@ class PasConfig:
             raise ValueError("frame_count must be a positive integer")
         if not (math.isfinite(self.kappa) and 0.0 <= self.kappa <= 1.0):
             raise ValueError("kappa must lie in [0, 1]")
-        if self.insertion_loss_db < 0.0 or not math.isfinite(self.insertion_loss_db):
-            raise ValueError("insertion_loss_db must be finite and >= 0")
-        if self.switching_time < 0.0 or not math.isfinite(self.switching_time):
-            raise ValueError("switching_time must be finite and >= 0")
+        check_nonnegative("insertion_loss_db", self.insertion_loss_db)
+        check_nonnegative("switching_time", self.switching_time)
 
     @property
     def f_ind(self):
@@ -136,8 +134,7 @@ def _dead_time(config, kappa):
 
 def pa_with_loss(scenario, insertion_loss_db):
     """Fold a switch insertion loss into the link (noise raised by G_S dB)."""
-    if insertion_loss_db < 0.0 or not math.isfinite(insertion_loss_db):
-        raise ValueError("insertion_loss_db must be finite and >= 0")
+    check_nonnegative("insertion_loss_db", insertion_loss_db)
     if insertion_loss_db == 0.0:
         return scenario
     return replace(

@@ -13,13 +13,12 @@ r = |y|; masses are recovered as integral of 2*pi*r*f(r).
 import contextlib
 import contextvars
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._common import (
-    LN2, bracketed_root, check_loading, check_positive, db_to_lin, dbm_to_watts, scalar_like
+    LN2, check_loading, check_positive, db_to_lin, dbm_to_watts, golden_max, scalar_like
 )
 from .pa_models import clip_probability
 from .specfun import WBranch, bessel_i0e, gauss_panels, lambert_w, marcum_q1_complement
@@ -38,6 +37,7 @@ __all__ = [
     "se_ideal",
     "se_ibo",
     "xi_se_opt",
+    "xi_se_max",
     "multipath_equiv_gain",
     "se_lower_bound_multipath",
     "se_sweep",
@@ -46,6 +46,10 @@ __all__ = [
 
 # absolute tolerance of the entropy quadrature, bits
 ENTROPY_TOL = 1e-8
+
+# lowest loading the exact optimizers search; the smallest EE optimum over
+# the embedded amplifiers and presets up to 100 dB is about 1e-6
+XI_FLOOR = 1e-12
 
 # se() results of the open se_memo() scope, keyed on (xi, scenario); None
 # outside any scope
@@ -317,56 +321,35 @@ def se_ibo(xi, scenario):
     return se_ideal(xi, scenario) + clip * (1.0 / (xi * LN2) + noise_entropy(scenario))
 
 
-def _stationarity_residual(xi, scenario):
-    # d/dxi of the backoff approximation (in nats), split as LHS - RHS
-    s2 = scenario.noise_variance
-    gam = scenario.gamma
-    lhs = gam / (1.0 + gam * xi)
-    rhs = clip_probability(xi) * xi**-2.0 * (-1.0 / xi + 1.0 - math.log(math.pi * math.e * s2))
-    return lhs - rhs
-
-
-def xi_se_opt(scenario, method="closed_form"):
+def xi_se_opt(scenario):
     """Loading factor maximizing the backoff-regime spectral efficiency.
 
-    closed_form evaluates the explicit lower-branch Lambert-W expression
-    -1/W_{-1}(1/ln(pi e sigma^2)); exact_root solves the stationarity
-    equation of se_ibo by bracketed bisection on the concavity window
-    (max(0, -1/ln(pi sigma^2)), 1/2]. If the window contains no sign change
-    the better-scoring window endpoint is returned with a warning.
+    The paper's explicit lower-branch Lambert-W expression
+    -1/W_{-1}(1/ln(pi e sigma^2)). ValueError outside its domain,
+    ln(pi e sigma^2) <= -e.
     """
-    s2 = scenario.noise_variance
-    if method == "closed_form":
-        lnpes2 = math.log(math.pi * math.e * s2)
-        if lnpes2 >= 0.0:
-            raise ValueError(
-                "closed_form needs pi*e*noise_variance < 1 (argument of the "
-                "lower Lambert-W branch must be negative)"
-            )
-        q = 1.0 / lnpes2
-        if q < -math.exp(-1.0):
-            raise ValueError(
-                "closed_form needs ln(pi*e*noise_variance) <= -e so that "
-                "1/ln(.) stays above -1/e"
-            )
-        return -1.0 / lambert_w(q, WBranch.LOWER_NEGATIVE)
-    if method != "exact_root":
-        raise ValueError("method must be 'exact_root' or 'closed_form'")
-    lnps2 = math.log(math.pi * s2)
-    lo = max(1e-6, -1.0 / lnps2 if lnps2 < 0.0 else 0.0)
-    hi = 0.5
-    if lo >= hi:
-        warnings.warn("concavity window is empty; returning its upper edge", RuntimeWarning)
-        return hi
-    root = bracketed_root(lambda x: _stationarity_residual(x, scenario), lo, hi)
-    if root is None:
-        warnings.warn(
-            "no stationary point inside the concavity window; returning the "
-            "better window endpoint",
-            RuntimeWarning,
+    lnpes2 = math.log(math.pi * math.e * scenario.noise_variance)
+    if lnpes2 >= 0.0:
+        raise ValueError(
+            "closed_form needs pi*e*noise_variance < 1 (argument of the "
+            "lower Lambert-W branch must be negative)"
         )
-        return lo if se_ibo(lo, scenario) >= se_ibo(hi, scenario) else hi
-    return root
+    q = 1.0 / lnpes2
+    if q < -math.exp(-1.0):
+        raise ValueError(
+            "closed_form needs ln(pi*e*noise_variance) <= -e so that "
+            "1/ln(.) stays above -1/e"
+        )
+    return -1.0 / lambert_w(q, WBranch.LOWER_NEGATIVE)
+
+
+def xi_se_max(scenario):
+    """Loading factor in (0, 1] that maximizes se() itself.
+
+    Golden-section search on log xi over [XI_FLOOR, 1], ends included; no
+    approximation of se() enters.
+    """
+    return golden_max(lambda x: se(x, scenario), XI_FLOOR, 1.0)[0]
 
 
 # ---------------------------------------------------------------------------

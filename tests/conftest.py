@@ -1,11 +1,28 @@
-"""Shared fixtures: the reference urban-macro link used across the suite."""
+"""Shared fixtures: the reference urban-macro link used across the suite;
+and the fixed set of modules loaded before any property runs."""
 
+import importlib
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import ofdmsee
 from ofdmsee import BS_PRESETS, LinkScenario, build_scenario, find_pa, se_engine, switched_arm
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Hypothesis draws some examples from the constants of every loaded module of
+# this checkout, test files aside, so its draws would depend on which test
+# files were collected. Loading every such module here, before any property
+# runs, fixes that pool.
+if str(ROOT) not in sys.path:
+    sys.path.append(str(ROOT))
+for package, folder in ((ofdmsee.__name__, Path(ofdmsee.__file__).parent), ("perfbench", ROOT / "perfbench")):
+    for path in sorted(folder.glob("*.py")):
+        importlib.import_module(package if path.stem == "__init__" else f"{package}.{path.stem}")
 
 
 @pytest.fixture(scope="session")

@@ -174,8 +174,8 @@ def test_criterion_05_optimizer_quality(scenario, macro_power):
     grid = np.geomspace(0.02, 1.0, 160)
     se_vals = np.asarray([se(x, scenario) for x in grid])
     ee_vals = np.asarray([ee(x, scenario, macro_power, n_ways=2) for x in grid])
-    xi_se = xi_se_opt(scenario, method="closed_form")
-    xi_ee, _ = xi_ee_opt(scenario, macro_power, method="closed_form", n_ways=2)
+    xi_se = xi_se_opt(scenario)
+    xi_ee, _ = xi_ee_opt(scenario, macro_power, n_ways=2)
     ratio_se = se(xi_se, scenario) / float(se_vals.max())
     ratio_ee = ee(xi_ee, scenario, macro_power, n_ways=2) / float(ee_vals.max())
     elapsed = time.monotonic() - t0

@@ -10,6 +10,7 @@ from ofdmsee import (
     FrameConfig,
     empirical_pdf_distance,
     estimate_mi,
+    embedded_datasheet,
     estimate_mi_radial,
     find_pa,
     se,
@@ -145,10 +146,11 @@ class TestOptimalXi:
         for line in lines:
             name, _, rest = line.partition(": ")
             got[name] = float(rest.split()[0])
+        assert list(got) == ["xi_se exact", "xi_se closed-form", "xi_ee exact", "xi_ee closed-form"]
+        assert got["xi_se exact"] == pytest.approx(0.4086167313, abs=1e-8)
         assert got["xi_se closed-form"] == pytest.approx(0.3399825458, abs=1e-8)
-        assert got["xi_se stationarity-root"] == pytest.approx(0.3973133847, abs=1e-6)
+        assert got["xi_ee exact"] == pytest.approx(0.2022029441, abs=1e-8)
         assert got["xi_ee closed-form"] == pytest.approx(0.25, abs=1e-9)
-        assert got["xi_ee derivative-root"] == pytest.approx(0.25, abs=1e-9)
         assert "(piece 1)" in lines[2] and "(piece 1)" in lines[3]
 
     def test_table_output(self, capsys, tmp_path):
@@ -158,6 +160,36 @@ class TestOptimalXi:
         _, columns, rows = parse_csv(path.read_text())
         assert columns == ["quantity", "method", "xi", "piece"]
         assert len(rows) == 4
+
+    def test_every_embedded_pa_answers_at_1_km(self, capsys, tmp_path):
+        # at 1 km the SE closed form is outside its domain for every PA: its
+        # row has no loading and a note says why; the exact optima answer
+        for spec in embedded_datasheet():
+            code, out, err = run(capsys, "optimal-xi", "--pa", spec.model_name, "--d-km", "1")
+            assert code == 0 and err == "", spec.model_name
+            lines = out.splitlines()
+            assert lines[1] == "xi_se closed-form:"
+            assert lines[2].startswith("# xi_se closed-form is outside its domain: ValueError: ")
+            for line in (lines[0], lines[3]):
+                assert 0.0 < float(line.split(": ")[1].split()[0]) <= 1.0
+        path = tmp_path / "xi.csv"
+        code, _, _ = run(capsys, "optimal-xi", "--d-km", "1", "--out", str(path))
+        assert code == 0
+        _, _, rows = parse_csv(path.read_text())
+        assert rows[1] == ["xi_se", "closed-form", "", ""]
+
+    def test_link_where_the_linear_bound_peaks_below_zeta(self, capsys):
+        # the exact EE optimum needs no zeta hypothesis, so every row answers
+        code, out, err = run(
+            capsys, "optimal-xi", "--pa", "SM1720-50", "--bs-type", "femto",
+            "--n-ways", "1", "--d-km", "0.535426",
+        )
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert [line.partition(": ")[0] for line in lines] == [
+            "xi_se exact", "xi_se closed-form", "xi_ee exact", "xi_ee closed-form"
+        ]
+        assert all(0.0 < float(line.split(": ")[1].split()[0]) <= 1.0 for line in lines)
 
 
 class TestPaResolution:

@@ -10,18 +10,20 @@ import pytest
 from ofdmsee import (
     BS_PRESETS,
     InfeasibleError,
+    LinkScenario,
     build_scenario,
     doherty_pieces,
     ee,
     ee_breakdown,
     ee_ideal,
     ee_linear,
-    ee_linear_derivative,
     ee_sweep,
+    find_pa,
     pareto_window,
     pc_nonlinear,
     se,
     se_ideal,
+    xi_ee_max,
     xi_ee_opt,
     xi_se_opt,
     zeta,
@@ -75,30 +77,35 @@ class TestQuasiConcavity:
             assert flips <= 1
 
     def test_rise_then_fall_around_threshold(self, scenario, macro_power):
-        # below zeta the bound can only rise; past the optimum it falls
+        # on this 51 dB link the bound rises up to the closed form's loading,
+        # the knee, and falls past it (test_linear_bound_can_peak_below_zeta
+        # shows a link where the rise stops below zeta)
         pieces = doherty_pieces(macro_power, n_ways=2)
         lo, hi, v1, v2 = pieces[1]
         z = zeta(v1, v2, scenario.gamma)
-        xi_star, _ = xi_ee_opt(scenario, macro_power, method="exact")
+        xi_star, _ = xi_ee_opt(scenario, macro_power)
+        rising = [ee_linear(float(x), scenario, macro_power) for x in np.geomspace(1e-6, xi_star, 200)]
+        assert all(b >= a for a, b in zip(rising, rising[1:]))
         left = ee_linear(max(z, lo) * 1.001, scenario, macro_power)
         right = ee_linear(1.0, scenario, macro_power)
         peak = ee_linear(xi_star, scenario, macro_power)
         assert peak >= left - 1e-9
         assert peak >= right - 1e-9
 
-    def test_derivative_matches_finite_difference(self, scenario, macro_power):
-        pieces = doherty_pieces(macro_power, n_ways=2)
-        rng = np.random.default_rng(3)
-        for lo, hi, _, _ in pieces:
-            for xi in rng.uniform(max(lo, 1e-3) * 1.05, hi * 0.95, size=12):
-                xi = float(xi)
-                h = 1e-7 * xi
-                fd = (
-                    ee_linear(xi + h, scenario, macro_power)
-                    - ee_linear(xi - h, scenario, macro_power)
-                ) / (2 * h)
-                an = ee_linear_derivative(xi, scenario, macro_power)
-                assert an == pytest.approx(fd, rel=2e-5, abs=1e-3), xi
+    def test_linear_bound_can_peak_below_zeta(self):
+        # a 12 dB femto link where the bound falls between its peak and
+        # zeta, so zeta is no threshold below which the bound rises
+        pa = find_pa("PA1157")
+        link = LinkScenario(1e7, pa.p_max_out / 10.0**1.2, pa.gain, pa.p_max_out)
+        power = replace(BS_PRESETS["femto"], p_max_out=pa.p_max_out)
+        ((_, _, v1, v2),) = doherty_pieces(power, n_ways=1)
+        z = zeta(v1, v2, link.gamma)
+        grid = np.geomspace(1e-6, 1.0, 4000)
+        vals = [ee_linear(float(x), link, power, n_ways=1) for x in grid]
+        peak = float(grid[int(np.argmax(vals))])
+        assert peak == pytest.approx(0.48, abs=0.01)
+        assert z == pytest.approx(0.71, abs=0.01)
+        assert ee_linear(z, link, power, n_ways=1) < max(vals)
 
 
 class TestZeta:
@@ -114,31 +121,39 @@ class TestZeta:
 
 
 class TestOptimizer:
-    def test_both_methods_hit_the_knee(self, scenario, macro_power):
+    def test_closed_form_hits_the_knee(self, scenario, macro_power):
         # the unconstrained stationary point sits above the knee on piece 1,
-        # so both methods clamp to the knee of the 2-way supply curve
-        for method in ("closed_form", "exact"):
-            xi, piece = xi_ee_opt(scenario, macro_power, method=method)
-            assert xi == pytest.approx(0.25, abs=1e-9)
-            assert piece == 1
+        # so the closed form clamps to the knee of the 2-way supply curve
+        xi, piece = xi_ee_opt(scenario, macro_power)
+        assert xi == 0.25
+        assert piece == 1
+
+    def test_exact_maximum_frozen(self, scenario, macro_power):
+        xi, piece = xi_ee_max(scenario, macro_power)
+        assert xi == pytest.approx(0.2022029441, rel=1e-8)
+        assert piece == 1
 
     def test_beats_grid(self, scenario, macro_power):
-        xi_star, _ = xi_ee_opt(scenario, macro_power, method="exact")
+        xi_star, _ = xi_ee_max(scenario, macro_power)
         grid = np.geomspace(1e-3, 1.0, 400)
-        best = max(ee_linear(float(x), scenario, macro_power) for x in grid)
-        assert ee_linear(xi_star, scenario, macro_power) >= best - 1e-6 * best
+        best = max(ee(float(x), scenario, macro_power) for x in grid)
+        assert ee(xi_star, scenario, macro_power) >= best
 
     def test_class_b_interior_optimum(self, scenario, macro_power):
-        # one-way supply has a single piece: optimizer must be stationary
-        xi_star, piece = xi_ee_opt(scenario, macro_power, method="exact", n_ways=1)
-        assert piece == 1
-        d = ee_linear_derivative(xi_star, scenario, macro_power, n_ways=1)
-        scale = ee_linear(xi_star, scenario, macro_power, n_ways=1) / xi_star
+        # one-way supply has a single piece: the maximum is stationary
+        xi_star, piece = xi_ee_max(scenario, macro_power, n_ways=1)
+        assert piece == 1 and 0.01 < xi_star < 0.99
+        h = 1e-5 * xi_star
+        d = (
+            ee(xi_star + h, scenario, macro_power, n_ways=1)
+            - ee(xi_star - h, scenario, macro_power, n_ways=1)
+        ) / (2 * h)
+        scale = ee(xi_star, scenario, macro_power, n_ways=1) / xi_star
         assert abs(d) <= 1e-6 * scale
 
     def test_closed_form_near_exact_class_b(self, scenario, macro_power):
-        a, _ = xi_ee_opt(scenario, macro_power, method="closed_form", n_ways=1)
-        b, _ = xi_ee_opt(scenario, macro_power, method="exact", n_ways=1)
+        a, _ = xi_ee_opt(scenario, macro_power, n_ways=1)
+        b, _ = xi_ee_max(scenario, macro_power, n_ways=1)
         assert a == pytest.approx(b, rel=0.15)
 
     def test_negative_v1_piece_falls_back(self, scenario, pa_high):
@@ -149,28 +164,31 @@ class TestOptimizer:
         assert pieces[1][2] < 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            xi_cf, _ = xi_ee_opt(scenario, power, method="closed_form")
-        xi_ex, _ = xi_ee_opt(scenario, power, method="exact")
+            xi_cf, _ = xi_ee_opt(scenario, power)
+        xi_ex, _ = xi_ee_max(scenario, power)
         assert 0.0 < xi_cf <= 1.0
-        assert ee_linear(xi_cf, scenario, power) >= 0.95 * ee_linear(xi_ex, scenario, power)
+        assert ee(xi_cf, scenario, power) >= 0.95 * ee(xi_ex, scenario, power)
 
     def test_infeasible_when_gamma_tiny(self, pa_low, macro_power):
         # gamma so small that the quasi-concavity threshold passes full load
         bad = build_scenario(5.0, 3.76, 3.0, -120.0, 1e7, pa_low)
         assert zeta(130.0, 59.0, bad.gamma) > 1.0
         with pytest.raises(InfeasibleError):
-            xi_ee_opt(bad, macro_power, method="closed_form")
+            xi_ee_opt(bad, macro_power)
 
-    def test_bad_method(self, scenario, macro_power):
-        with pytest.raises(ValueError):
-            xi_ee_opt(scenario, macro_power, method="grid")
+    def test_exact_maximum_needs_no_zeta(self, pa_low, macro_power):
+        # the link on which the closed form is infeasible still has a best loading
+        bad = build_scenario(5.0, 3.76, 3.0, -120.0, 1e7, pa_low)
+        xi, _ = xi_ee_max(bad, macro_power)
+        grid = np.geomspace(1e-3, 1.0, 300)
+        assert ee(xi, bad, macro_power) >= max(ee(float(x), bad, macro_power) for x in grid)
 
 
 class TestParetoWindow:
     def test_window_endpoints(self, scenario, macro_power):
         lo, hi = pareto_window(scenario, macro_power)
         assert lo == pytest.approx(0.25, abs=1e-9)
-        assert hi == pytest.approx(xi_se_opt(scenario, method="closed_form"), rel=1e-12)
+        assert hi == pytest.approx(xi_se_opt(scenario), rel=1e-12)
 
     def test_tradeoff_inside_window(self, scenario, macro_power):
         # inside the window, raising the loading trades EE away for SE

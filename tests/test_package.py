@@ -37,14 +37,31 @@ def test_alias_is_not_exported():
 
 
 def test_import_leaves_scipy_spatial_unloaded():
-    # only the kNN estimate_mi needs scipy.spatial, which is slow to import
+    # only the kNN estimate_mi needs scipy.spatial, which is slow to import;
+    # scipy.optimize is slow too, and the optimizers do without it
     src = Path(ofdmsee.__file__).resolve().parent.parent
-    code = "import sys, ofdmsee, ofdmsee.cli; print('scipy.spatial' in sys.modules)"
+    code = (
+        "import sys, ofdmsee, ofdmsee.cli; "
+        "print([m for m in ('scipy.spatial', 'scipy.optimize') if m in sys.modules])"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code],
         cwd=src, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+def test_no_function_takes_a_method_parameter():
+    # each quantity has one evaluation path; alternatives live in the tests
+    found = []
+    for path in sorted(Path(ofdmsee.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "method" in names:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_every_import_is_used_or_exported():

@@ -95,6 +95,16 @@ class TestInsertionLoss:
         with pytest.raises(ValueError):
             pa_with_loss(scenario, -0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_config_and_link_reject_a_bad_loss_alike(self, scenario, base_config, bad):
+        for field in ("insertion_loss_db", "switching_time"):
+            with pytest.raises(ValueError) as info:
+                replace(base_config, **{field: bad})
+            assert str(info.value) == f"{field} must be finite and >= 0"
+        with pytest.raises(ValueError) as info:
+            pa_with_loss(scenario, bad)
+        assert str(info.value) == "insertion_loss_db must be finite and >= 0"
+
 
 class TestScheduleAverages:
     def test_pure_low_schedule_is_the_low_arm(self, base_config):

@@ -27,6 +27,7 @@ from ofdmsee import (
     se_lower_bound_multipath,
     se_memo,
     se_sweep,
+    xi_se_max,
     xi_se_opt,
 )
 from ofdmsee import se_engine, specfun
@@ -527,37 +528,38 @@ class TestSeMemo:
 
 class TestLoadingOptimizer:
     def test_closed_form_frozen(self, scenario):
-        assert xi_se_opt(scenario, method="closed_form") == pytest.approx(
-            0.33998254576117515, rel=1e-10
-        )
+        assert xi_se_opt(scenario) == pytest.approx(0.33998254576117515, rel=1e-10)
 
-    def test_exact_root_frozen(self, scenario):
-        assert xi_se_opt(scenario, method="exact_root") == pytest.approx(
-            0.39731338470791205, rel=1e-9
-        )
+    def test_exact_maximum_frozen(self, scenario):
+        xi = xi_se_max(scenario)
+        assert xi == pytest.approx(0.4086167313, rel=1e-8)
+        assert se(xi, scenario) == pytest.approx(15.2019663052, rel=1e-10)
 
     def test_methods_land_within_twenty_percent(self, scenario):
-        cf = xi_se_opt(scenario, method="closed_form")
-        ex = xi_se_opt(scenario, method="exact_root")
+        cf = xi_se_opt(scenario)
+        ex = xi_se_max(scenario)
         assert abs(ex - cf) / ex <= 0.20
 
-    def test_exact_root_is_stationary(self, scenario):
-        xi = xi_se_opt(scenario, method="exact_root")
-        h = 1e-6
-        f = lambda x: se_ibo(x, scenario)
-        deriv = (f(xi + h) - f(xi - h)) / (2 * h)
-        scale = abs(f(xi)) / xi
+    def test_exact_maximum_is_stationary(self, scenario):
+        xi = xi_se_max(scenario)
+        h = 1e-5 * xi
+        deriv = (se(xi + h, scenario) - se(xi - h, scenario)) / (2 * h)
+        scale = se(xi, scenario) / xi
         assert abs(deriv) <= 1e-4 * scale
 
     def test_near_grid_best(self, scenario):
-        xs = np.geomspace(0.05, 0.5, 120)
-        best = max(se_ibo(float(x), scenario) for x in xs)
-        got = se_ibo(xi_se_opt(scenario, method="exact_root"), scenario)
-        assert got >= best - 1e-9
+        xs = np.geomspace(0.05, 1.0, 120)
+        best = max(se(float(x), scenario) for x in xs)
+        assert se(xi_se_max(scenario), scenario) >= best
 
-    def test_bad_method_raises(self, scenario):
-        with pytest.raises(ValueError):
-            xi_se_opt(scenario, method="grid")
+    def test_closed_form_outside_its_domain(self, pa_low):
+        # at 1 km ln(pi e sigma^2) > -e, so the closed form has no value;
+        # the exact maximum still beats a grid
+        far = build_scenario(5.0, 3.76, 1.0, -174.0, 1e7, pa_low)
+        with pytest.raises(ValueError, match="closed_form needs"):
+            xi_se_opt(far)
+        xi = xi_se_max(far)
+        assert se(xi, far) >= max(se(float(x), far) for x in np.geomspace(0.05, 1.0, 60))
 
 
 class TestMultipath:
