@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,9 @@ from .pa_models import (
 )
 from .pas_engine import Duplex, PasConfig, pas_frontier, switched_arm
 from .power_models import BS_PRESETS
-from .se_engine import build_scenario, se, se_ibo, se_memo, se_sweep, xi_se_max, xi_se_opt
+from .se_engine import (
+    build_scenario, se, se_curve, se_ibo, se_memo, se_sweep, xi_se_max, xi_se_opt
+)
 
 _FIGURES = {
     "se-sweep": "se-vs-loading",
@@ -321,32 +324,52 @@ def _cmd_ee_sweep(args):
     return 0
 
 
+def _closed_form(evaluate):
+    """(value, notes) of a closed form, evaluate() giving its value.
+
+    Outside the form's domain (ValueError or InfeasibleError) value is None
+    and a note names the error; each warning it gives, such as a candidate
+    replaced by a piece endpoint, is a note too rather than a Python warning
+    on stderr. Each note reads after the form's name.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value, notes = evaluate(), []
+        except (ValueError, InfeasibleError) as exc:
+            value, notes = None, [f"is outside its domain: {type(exc).__name__}: {exc}"]
+    return value, [f"warns: {w.message}" for w in caught] + notes
+
+
 def _cmd_tradeoff(args):
     spec = _resolve_pa(args.pa)
     scen = _make_scenario(args, spec)
     power = _power_params(args, spec)
     data = ee_sweep(scen, power, args.xi_grid, n_ways=args.n_ways)
-    window = pareto_window(scen, power, n_ways=args.n_ways)
+    window, notes = _closed_form(lambda: pareto_window(scen, power, n_ways=args.n_ways))
     params = _scenario_params(args, spec) | _grid_params(args.xi_grid)
+    window_lo, window_hi = window if window is not None else ("", "")
     params.update(
-        bs_type=args.bs_type, n_ways=args.n_ways, window_lo=window[0], window_hi=window[1]
+        bs_type=args.bs_type, n_ways=args.n_ways, window_lo=window_lo, window_hi=window_hi
     )
     columns = ("xi", "se_exact", "ee_exact", "se_approx", "ee_approx")
     se_approx = [se_ibo(x, scen) for x in data["xi"]]
     rows = list(zip(data["xi"], data["se_exact"], data["ee_exact"], se_approx, data["ee_linear"]))
     _write_table(args.format, args.out, "tradeoff", params, columns, rows)
-    _note(args, f"tradeoff window: xi in [{_fmt(window[0])}, {_fmt(window[1])}]")
+    for note in notes:
+        _note(args, f"tradeoff window {note}")
+    if window is not None:
+        _note(args, f"tradeoff window: xi in [{_fmt(window[0])}, {_fmt(window[1])}]")
     return 0
 
 
 def _closed_form_row(quantity, closed_form):
-    """(quantity, "closed-form", xi, piece, reason), closed_form() giving
-    (xi, piece). Outside the form's domain xi and piece are empty and reason
-    names the error; otherwise reason is None."""
-    try:
-        return (quantity, "closed-form", *closed_form(), None)
-    except (ValueError, InfeasibleError) as exc:
-        return (quantity, "closed-form", "", "", f"{type(exc).__name__}: {exc}")
+    """(quantity, "closed-form", xi, piece, notes), closed_form() giving
+    (xi, piece); outside the form's domain xi and piece are empty. notes as
+    _closed_form gives them."""
+    value, notes = _closed_form(closed_form)
+    xi, piece = value if value is not None else ("", "")
+    return (quantity, "closed-form", xi, piece, notes)
 
 
 def _cmd_optimal_xi(args):
@@ -357,16 +380,16 @@ def _cmd_optimal_xi(args):
     params.update(bs_type=args.bs_type, n_ways=args.n_ways)
     columns = ("quantity", "method", "xi", "piece")
     rows = [
-        ("xi_se", "exact", xi_se_max(scen), "", None),
+        ("xi_se", "exact", xi_se_max(scen), "", []),
         _closed_form_row("xi_se", lambda: (xi_se_opt(scen), "")),
-        ("xi_ee", "exact", *xi_ee_max(scen, power, n_ways=args.n_ways), None),
+        ("xi_ee", "exact", *xi_ee_max(scen, power, n_ways=args.n_ways), []),
         _closed_form_row("xi_ee", lambda: xi_ee_opt(scen, power, n_ways=args.n_ways)),
     ]
-    for quantity, label, value, piece, reason in rows:
+    for quantity, label, value, piece, notes in rows:
         suffix = f" (piece {piece})" if piece != "" else ""
         print(f"{quantity} {label}: {_fmt(value)}{suffix}".rstrip())
-        if reason is not None:
-            print(f"# {quantity} {label} is outside its domain: {reason}")
+        for note in notes:
+            print(f"# {quantity} {label} {note}")
     if args.out is not None:
         rows = [row[:4] for row in rows]
         _write_table(args.format, args.out, "optimal-xi", params, columns, rows)
@@ -403,7 +426,7 @@ def _cmd_pas_frontier(args):
     else:
         runs = list(_PAS_PRESETS)
     if args.targets is None:
-        high_se = [se(x, high.scenario) for x in args.xi_grid]
+        high_se = se_curve(args.xi_grid, high.scenario)
         targets = np.linspace(0.2, 1.0, 17) * max(high_se)
     else:
         targets = np.asarray(args.targets, dtype=float)

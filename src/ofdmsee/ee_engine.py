@@ -16,7 +16,7 @@ import numpy as np
 
 from ._common import check_loading, golden_max
 from .power_models import doherty_pieces, pc_ideal, pc_nonlinear
-from .se_engine import XI_FLOOR, se, se_ideal, se_memo, xi_se_opt
+from .se_engine import XI_FLOOR, se, se_curve, se_ideal, se_memo, xi_se_opt
 from .specfun import WBranch, lambert_w
 
 __all__ = [
@@ -222,7 +222,9 @@ def ee_sweep(scenario, power_params, xi_values, n_ways=2):
 
     Returns a dict of arrays with keys xi, se_exact, ee_exact, ee_linear,
     ee_ideal, pc_watts (one entry per grid point); se_exact is the spectral
-    efficiency behind ee_exact, so callers need no second SE sweep.
+    efficiency behind ee_exact, so callers need no second SE sweep. The SE
+    curve is integrated in one batch (se_curve), whose memo the per-point
+    breakdowns read.
     """
     xis = np.atleast_1d(np.asarray(xi_values, dtype=float))
     out = {
@@ -233,11 +235,12 @@ def ee_sweep(scenario, power_params, xi_values, n_ways=2):
         "ee_ideal": np.empty_like(xis),
         "pc_watts": np.empty_like(xis),
     }
-    for i, x in enumerate(xis):
-        point = ee_breakdown(x, scenario, power_params, n_ways)
-        out["se_exact"][i] = point.se_bits
-        out["ee_exact"][i] = point.ee_bits_per_joule
-        out["ee_linear"][i] = ee_linear(x, scenario, power_params, n_ways=n_ways)
-        out["ee_ideal"][i] = ee_ideal(x, scenario, power_params)
-        out["pc_watts"][i] = point.pc_watts
+    with se_memo():
+        out["se_exact"][:] = se_curve(xis, scenario)
+        for i, x in enumerate(xis):
+            point = ee_breakdown(x, scenario, power_params, n_ways)
+            out["ee_exact"][i] = point.ee_bits_per_joule
+            out["ee_linear"][i] = ee_linear(x, scenario, power_params, n_ways=n_ways)
+            out["ee_ideal"][i] = ee_ideal(x, scenario, power_params)
+            out["pc_watts"][i] = point.pc_watts
     return out

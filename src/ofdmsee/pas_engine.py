@@ -16,7 +16,7 @@ import numpy as np
 
 from ._common import check_nonnegative, check_positive, db_to_lin
 from .power_models import pc_nonlinear
-from .se_engine import se
+from .se_engine import se, se_curve
 
 __all__ = [
     "STANDING_DRAW_PER_WATT",
@@ -143,17 +143,23 @@ def pa_with_loss(scenario, insertion_loss_db):
     )
 
 
-def _arm_curves(config, x1, x2):
-    # per-arm SE (insertion loss applied) and draw: low arm at the loadings
-    # x1, high arm at x2
-    s1 = pa_with_loss(config.pa_low.scenario, config.insertion_loss_db)
-    s2 = pa_with_loss(config.pa_high.scenario, config.insertion_loss_db)
+def _arm_scenarios(config):
+    # both arms' links with the switch's insertion loss applied
+    return (
+        pa_with_loss(config.pa_low.scenario, config.insertion_loss_db),
+        pa_with_loss(config.pa_high.scenario, config.insertion_loss_db),
+    )
+
+
+def _arm_curves(config, xis):
+    # per-arm SE curves and draws over the loading grid xis
+    s1, s2 = _arm_scenarios(config)
     n = config.n_ways
     return (
-        np.asarray([se(x, s1) for x in x1]),
-        np.asarray([se(x, s2) for x in x2]),
-        np.asarray([pc_nonlinear(x, config.pa_low.power, n_ways=n) for x in x1]),
-        np.asarray([pc_nonlinear(x, config.pa_high.power, n_ways=n) for x in x2]),
+        se_curve(xis, s1),
+        se_curve(xis, s2),
+        pc_nonlinear(xis, config.pa_low.power, n_ways=n),
+        pc_nonlinear(xis, config.pa_high.power, n_ways=n),
     )
 
 
@@ -178,8 +184,17 @@ def _pas_point(xi, config):
     if len(pair) != 2:
         raise ValueError("per-arm loading needs exactly two entries")
     x1, x2 = float(pair[0]), float(pair[1])
-    se_val, ee_val = _schedule(config, config.kappa_quantized, *_arm_curves(config, [x1], [x2]))
-    return se_val.item(), ee_val.item()
+    s1, s2 = _arm_scenarios(config)
+    n = config.n_ways
+    se_val, ee_val = _schedule(
+        config,
+        config.kappa_quantized,
+        se(x1, s1),
+        se(x2, s2),
+        pc_nonlinear(x1, config.pa_low.power, n_ways=n),
+        pc_nonlinear(x2, config.pa_high.power, n_ways=n),
+    )
+    return float(se_val), float(ee_val)
 
 
 def pas_se(xi, config):
@@ -232,7 +247,7 @@ def pas_frontier(se_targets, config, xi_grid, xi_mode="shared"):
     xis = np.unique(np.asarray(xi_grid, dtype=float))
     if xis.size < 2 or np.any(xis <= 0.0) or np.any(xis > 1.0):
         raise ValueError("xi grid must contain at least two loadings in (0, 1]")
-    se1, se2, pc1, pc2 = _arm_curves(config, xis, xis)
+    se1, se2, pc1, pc2 = _arm_curves(config, xis)
     # candidate (xi1, xi2) index pairs: the grid's diagonal, or every pair
     if xi_mode == "shared":
         i1 = i2 = np.arange(xis.size)

@@ -21,7 +21,9 @@ from ._common import (
     LN2, check_loading, check_positive, db_to_lin, dbm_to_watts, golden_max, scalar_like
 )
 from .pa_models import clip_probability
-from .specfun import WBranch, bessel_i0e, gauss_panels, lambert_w, marcum_q1_complement
+from .specfun import (
+    IntegrationError, WBranch, _gauss_panel_rows, bessel_i0e, lambert_w, marcum_q1_complement
+)
 
 __all__ = [
     "LinkScenario",
@@ -33,6 +35,7 @@ __all__ = [
     "noise_entropy",
     "entropy_y",
     "se",
+    "se_curve",
     "se_memo",
     "se_ideal",
     "se_ibo",
@@ -46,6 +49,10 @@ __all__ = [
 
 # absolute tolerance of the entropy quadrature, bits
 ENTROPY_TOL = 1e-8
+
+# loadings per density call of a batched entropy quadrature: 8 keep its
+# temporaries near 0.4 MB, and larger batches ran no faster
+_BATCH_LOADINGS = 8
 
 # lowest loading the exact optimizers search; the smallest EE optimum over
 # the embedded amplifiers and presets up to 100 dB is about 1e-6
@@ -154,7 +161,8 @@ def _as_radii(r):
 
 
 def pdf_unclipped(r, xi, scenario):
-    """Unclipped-branch density at radius r.
+    """Unclipped-branch density at radius r, at loading xi (a scalar, or an
+    array that broadcasts to r's shape: one loading per radius).
 
     Joint density of the received sample and the event that the input stayed
     below the clip level: the signal amplitude is a truncated Rayleigh on
@@ -169,13 +177,13 @@ def pdf_unclipped(r, xi, scenario):
     exactly 1 on interior radii, whose ridge lies more than 16 of its widths
     below b_max (a + 16 < b), so there the density is the Gaussian itself.
     """
-    xi = float(check_loading(xi))
+    xi = check_loading(xi)
     rr = _as_radii(r)
     gp = scenario.signal_power(xi)
     s2 = scenario.noise_variance
     total = gp + s2
-    a = rr * math.sqrt(2.0 * gp / (total * s2))
-    b = scenario.b_max * math.sqrt(2.0 * total / (gp * s2))
+    a = rr * np.sqrt(2.0 * gp / (total * s2))
+    b = scenario.b_max * np.sqrt(2.0 * total / (gp * s2))
     out = np.exp(-(rr**2) / total) / (math.pi * total) * marcum_q1_complement(a, b)
     return scalar_like(r, out)
 
@@ -186,14 +194,15 @@ pdf_unclipped_closed = pdf_unclipped
 
 
 def pdf_clipped(r, xi, scenario):
-    """Clipped-branch density at radius r.
+    """Clipped-branch density at radius r, at loading xi (a scalar, or an
+    array that broadcasts to r's shape).
 
     Saturated samples land exactly on the output circle of radius b_max and
     are smeared by noise into a Rician ring, weighted by the clip
     probability. Exponents are folded with the scaled Bessel function so the
     evaluation never overflows.
     """
-    xi = float(check_loading(xi))
+    xi = check_loading(xi)
     rr = _as_radii(r)
     s2 = scenario.noise_variance
     bmax = scenario.b_max
@@ -204,7 +213,8 @@ def pdf_clipped(r, xi, scenario):
 
 
 def pdf_radial(r, xi, scenario):
-    """Total received density at radius r (both branches)."""
+    """Total received density at radius r (both branches), at loading xi (a
+    scalar, or an array that broadcasts to r's shape)."""
     return pdf_unclipped(r, xi, scenario) + pdf_clipped(r, xi, scenario)
 
 
@@ -237,6 +247,30 @@ def _entropy_edges(xi, scenario):
     return np.unique(np.concatenate(parts))
 
 
+def _entropies(xis, scenario):
+    """Differential entropies, bits, of the received sample at each loading of
+    the list xis (floats in (0, 1]); a loading whose quadrature misses
+    ENTROPY_TOL gets its IntegrationError in place of a value.
+
+    The quadrature of entropy_y, run on _BATCH_LOADINGS loadings at a time:
+    each loading keeps its own panels and its own tolerance check, and one
+    density call per pass serves every loading of the batch, both rules.
+    """
+    out = []
+    for start in range(0, len(xis), _BATCH_LOADINGS):
+        batch = np.asarray(xis[start : start + _BATCH_LOADINGS], dtype=float)
+
+        def integrand(radii, rows):
+            f = pdf_radial(radii, batch[rows], scenario)
+            logf = np.log(np.where(f > 0.0, f, 1.0))
+            return -2.0 * math.pi * radii * f * logf
+
+        edge_rows = [_entropy_edges(float(x), scenario) for x in batch]
+        for h_nats in _gauss_panel_rows(integrand, edge_rows, order=8, tol=ENTROPY_TOL * LN2):
+            out.append(h_nats if isinstance(h_nats, IntegrationError) else h_nats / LN2)
+    return out
+
+
 def entropy_y(xi, scenario):
     """Differential entropy of the received sample, bits.
 
@@ -248,20 +282,15 @@ def entropy_y(xi, scenario):
     panels from b_max - 12*sigma to r_cut), with 2 more across any gap
     between the two; each carries 8 Gauss-Legendre nodes. f(r) = 0
     contributes zero (0*log 0 = 0). The error check recomputes the integral
-    at 12 nodes and must agree to ENTROPY_TOL bits; gauss_panels splits the
-    panels if it does not, and raises IntegrationError if refinement cannot
-    meet it.
+    at 12 nodes, from the same density call, and must agree to ENTROPY_TOL
+    bits; the panels are split if it does not, and IntegrationError is
+    raised if refinement cannot meet it. This is the batched quadrature of
+    se_curve on a batch of one loading, so both give the same float.
     """
-    xi = float(check_loading(xi))
-    edges = _entropy_edges(xi, scenario)
-
-    def integrand(radii):
-        f = pdf_radial(radii, xi, scenario)
-        logf = np.log(np.where(f > 0.0, f, 1.0))
-        return -2.0 * math.pi * radii * f * logf
-
-    h_nats = gauss_panels(integrand, edges, order=8, tol=ENTROPY_TOL * LN2)
-    return h_nats / LN2
+    h = _entropies([float(check_loading(xi))], scenario)[0]
+    if isinstance(h, IntegrationError):
+        raise h
+    return h
 
 
 @contextlib.contextmanager
@@ -271,6 +300,7 @@ def se_memo():
     The memo lives in a context variable: a nested block reuses the outer
     block's memo, and the memo is dropped when the outermost block exits,
     so no result outlives it (nor reaches another thread or context).
+    se_curve fills it a whole loading grid at a time.
     """
     if _SE_MEMO.get() is not None:
         yield
@@ -301,6 +331,28 @@ def se(xi, scenario):
     if key not in memo:
         memo[key] = max(0.0, entropy_y(xi, scenario) - noise_entropy(scenario))
     return memo[key]
+
+
+def se_curve(xi_values, scenario):
+    """se() at every loading of xi_values, as an array.
+
+    Works in an se_memo() scope, opening one for the call when none is open.
+    The loadings not yet in the memo are integrated together (see
+    _entropies) and their results stored in it; every value is then read
+    back through se(), so each is the float se() gives for that loading
+    alone. A loading whose quadrature misses ENTROPY_TOL stores nothing, so
+    its se() call integrates it again and raises IntegrationError as it
+    would without the curve.
+    """
+    xis = [float(x) for x in check_loading(np.atleast_1d(xi_values)).ravel()]
+    with se_memo():
+        memo = _SE_MEMO.get()
+        todo = list(dict.fromkeys(x for x in xis if (x, scenario) not in memo))
+        noise = noise_entropy(scenario)
+        for x, h in zip(todo, _entropies(todo, scenario)):
+            if not isinstance(h, IntegrationError):
+                memo[(x, scenario)] = max(0.0, h - noise)
+        return np.asarray([se(x, scenario) for x in xis])
 
 
 def se_ideal(xi, scenario):
@@ -409,8 +461,8 @@ def se_sweep(scenario, xi_values):
         "se_ibo": np.empty_like(xis),
         "pr_clip": np.empty_like(xis),
     }
+    out["se_exact"][:] = se_curve(xis, scenario)
     for i, x in enumerate(xis):
-        out["se_exact"][i] = se(x, scenario)
         out["se_ideal"][i] = se_ideal(x, scenario)
         out["se_ibo"][i] = se_ibo(x, scenario)
         out["pr_clip"][i] = clip_probability(x)

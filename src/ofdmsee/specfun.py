@@ -4,7 +4,8 @@ The exponentially scaled modified Bessel function I0 (scipy's i0e), the
 first-order Marcum Q function as one cumulative integral of its derivative
 in the noncentrality (scipy's i1e), both real branches of the Lambert W
 function, and fixed Gauss-Legendre panels with an error check for vectorized
-integrands. The Marcum Q1 complement is the package's one Bessel-kernel
+integrands, one integral at a time or a batch of them from one call of the
+integrand per pass. The Marcum Q1 complement is the package's one Bessel-kernel
 integral: the unclipped received density in se_engine is a Gaussian times it.
 """
 
@@ -68,50 +69,69 @@ _PANEL_NODES = 8
 _BLOCK_ROWS = 64
 
 
-def _panel_sums(b, lo, hi):
-    # integral of dQ1/dt = b exp(-u^2/2) i1e(b (b + u)), t = b + u, over each [lo, hi]
-    # in u; einsum, not BLAS gemv, whose sum order depends on a row's place
+def _panel_sums(b, mid, half):
+    # integral of dQ1/dt = b exp(-u^2/2) i1e(b (b + u)), t = b + u, over each panel
+    # mid +- half in u, row i at its own b[i]; einsum, not BLAS gemv, whose sum
+    # order depends on a row's place
     x, w = _leggauss(_PANEL_NODES)
-    half = 0.5 * (hi - lo)
-    u = (0.5 * (hi + lo))[:, None] + half[:, None] * x
-    with np.errstate(under="ignore"):
-        vals = b * np.exp(-0.5 * u * u) * bessel_i1e(b * (b + u))
+    u = mid[:, None] + half[:, None] * x
+    b = b[:, None]
+    vals = b * np.exp(-0.5 * u * u) * bessel_i1e(b * (b + u))
     return half * np.einsum("ij,j->i", vals, w)
 
 
 def marcum_q1_complement(a, b):
-    """1 - Q1(a, b) for a >= 0 (scalar or array of any shape) and a scalar b >= 0.
+    """1 - Q1(a, b) for a >= 0 (scalar or array of any shape) and b >= 0 (a scalar,
+    or an array that broadcasts to a's shape: one b per entry of a).
 
     1 - Q1(a, b) = int_a^inf dQ1/dt dt, whose integrand is positive, so small
     complements keep their relative accuracy. Panels of 8 nodes on the lattice
     t_k = b + k/2, which depends on b alone, run up to b + 40 (the integrand
-    underflows above) and are summed from the top down; a row adds its partial
-    panel [a, t_k] (t_k the first lattice point above a) to the sum above t_k,
-    so its value does not depend on the other rows of the call. Where
-    a + 16 < b, Q1 < e^-128 and the complement is exactly 1.0.
+    underflows above) and are summed from the top down, once per distinct b of
+    the call; a row adds its partial panel [a, t_k] (t_k the first lattice point
+    above a) to the sum above t_k, so its value does not depend on the other
+    rows of the call. Where a + 16 < b, Q1 < e^-128 and the complement is
+    exactly 1.0.
 
     Relative error against a 50-digit Bessel series: 7e-15 down to 1e-16, 9e-12
     at 1e-33, 2.7e-10 at 1e-51, 1.4e-8 at 1e-89 (a - b = 20); 0 past a - b = 38.
     """
     arr = np.asarray(a, dtype=float).ravel()
-    b = float(b)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or not math.isfinite(b) or b < 0.0:
+    bb = np.asarray(b, dtype=float)
+    if bb.ndim:
+        bb = np.broadcast_to(bb, np.shape(a)).ravel()
+    if not all(np.all(np.isfinite(v) & (v >= 0.0)) for v in (arr, bb)):
         raise ValueError("marcum_q1 requires finite a, b >= 0")
     out = np.ones(arr.shape)
-    edge = np.flatnonzero(arr + 16.0 >= b)
+    edge = np.flatnonzero(arr + 16.0 >= bb)
     if edge.size:
-        u = arr[edge] - b
+        # the distinct b of the rows, and each row's index among them
+        if bb.ndim:
+            lattice_b, row_b = np.unique(bb[edge], return_inverse=True)
+        else:
+            lattice_b, row_b = bb.reshape(1), np.zeros(edge.size, dtype=int)
+        b_rows = lattice_b[row_b]
+        u = arr[edge] - b_rows
         top = int(40.0 / _PANEL_H)
         # row i's partial panel ends at lattice point k[i], at most the top
         k = np.minimum(np.floor(u / _PANEL_H).astype(int) + 1, top)
         k0 = int(k.min())
         lattice = np.arange(k0, top + 1) * _PANEL_H
-        # each lattice point's sum of the full panels above it, taken top down
-        full = _panel_sums(b, lattice[:-1], lattice[1:])
-        c = np.append(np.cumsum(full[::-1])[::-1], 0.0)[k - k0]
-        for start in range(0, edge.size, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            c[rows] += _panel_sums(b, u[rows], np.maximum(u[rows], k[rows] * _PANEL_H))
+        # per b, each lattice point's sum of the full panels above it, taken top down
+        n = lattice.size - 1
+        lo = np.tile(lattice[:-1], lattice_b.size)
+        hi = np.tile(lattice[1:], lattice_b.size)
+        with np.errstate(under="ignore"):
+            full = _panel_sums(np.repeat(lattice_b, n), 0.5 * (hi + lo), 0.5 * (hi - lo))
+            above = np.zeros((lattice_b.size, n + 1))
+            above[:, :-1] = np.cumsum(full.reshape(lattice_b.size, n)[:, ::-1], axis=1)[:, ::-1]
+            c = above[row_b, k - k0]
+            # each row's partial panel [a, t_k], in blocks of rows
+            hi = np.maximum(u, k * _PANEL_H)
+            mid, half = 0.5 * (hi + u), 0.5 * (hi - u)
+            for start in range(0, edge.size, _BLOCK_ROWS):
+                rows = slice(start, start + _BLOCK_ROWS)
+                c[rows] += _panel_sums(b_rows[rows], mid[rows], half[rows])
         out[edge] = np.clip(c, 0.0, 1.0)
     return scalar_like(a, out.reshape(np.shape(a)))
 
@@ -227,10 +247,12 @@ def gauss_panels(f, edges, order=32, tol=None):
     """Integrate a vectorized function over the panels defined by `edges`.
 
     f must accept an ndarray of abscissae and return values of the same
-    shape. The integral is recomputed at 1.5x the order and the panels are
-    split until the two estimates agree to `tol` (absolute; by default
-    1e-9 * max(1, |estimate|)); raises IntegrationError when _MAX_REFINE
-    rounds of splitting do not reach it.
+    shape. One call of f per pass gives the integral at `order` nodes and at
+    1.5x the order; the panels are split until the two estimates agree to
+    `tol` (absolute; by default 1e-9 * max(1, |first estimate|)), and the
+    higher-order one is returned. Raises IntegrationError when _MAX_REFINE
+    rounds of splitting do not reach it. This is _gauss_panel_rows on a
+    single row.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) < 0):
@@ -238,31 +260,68 @@ def gauss_panels(f, edges, order=32, tol=None):
     edges = edges[np.concatenate(([True], np.diff(edges) > 0))]
     if edges.size < 2:
         return 0.0
+    value = _gauss_panel_rows(lambda x, _rows: f(x), [edges], order, tol)[0]
+    if isinstance(value, IntegrationError):
+        raise value
+    return value
 
-    def _eval(ed, n):
-        t, w = _leggauss(n)
-        mid = 0.5 * (ed[1:] + ed[:-1])
-        half = 0.5 * (ed[1:] - ed[:-1])
-        x = mid[:, None] + half[:, None] * t[None, :]
-        vals = f(x.ravel()).reshape(x.shape)
-        return float(np.sum(half[:, None] * w[None, :] * vals))
 
-    v1 = _eval(edges, order)
-    if tol is None:
-        tol = 1e-9 * max(1.0, abs(v1))
-    for _ in range(_MAX_REFINE):
-        v2 = _eval(edges, order + order // 2)
-        if abs(v2 - v1) <= tol:
-            return v2
-        # split every panel and try again
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        edges = np.sort(np.concatenate([edges, mids]))
-        v1 = _eval(edges, order)
-    v2 = _eval(edges, order + order // 2)
-    if abs(v2 - v1) <= tol:
-        return v2
-    raise IntegrationError(
-        "panel quadrature failed to meet tolerance",
-        estimate=v2,
-        error_bound=abs(v2 - v1),
-    )
+def _split(edges):
+    # every panel cut in two at its midpoint
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    return np.sort(np.concatenate([edges, mids]))
+
+
+def _gauss_panel_rows(f, edge_rows, order, tol):
+    """gauss_panels on several integrals at once: row i over the panels of
+    edge_rows[i] (strictly increasing), each row refined on its own.
+
+    f(x, rows) gets the abscissae of every row still open, both rules of each,
+    in one array, and for each abscissa the index of its row. A row's two
+    estimates are each summed over that row's panels alone, so its value is the
+    one it gets integrated by itself. Returns one entry per row: the
+    higher-order estimate, or the IntegrationError gauss_panels would raise.
+    """
+    t_lo, w_lo = _leggauss(order)
+    t_hi, w_hi = _leggauss(order + order // 2)
+    edges = list(edge_rows)
+    tols = [tol] * len(edges)
+    out = [None] * len(edges)
+    open_rows = list(range(len(edges)))
+    for rnd in range(_MAX_REFINE + 1):
+        panels = np.asarray([edges[i].size - 1 for i in open_rows])
+        lo = np.concatenate([edges[i][:-1] for i in open_rows])
+        hi = np.concatenate([edges[i][1:] for i in open_rows])
+        mid = 0.5 * (hi + lo)
+        half = 0.5 * (hi - lo)
+        x_lo = mid[:, None] + half[:, None] * t_lo[None, :]
+        x_hi = mid[:, None] + half[:, None] * t_hi[None, :]
+        row = np.repeat(open_rows, panels)
+        vals = f(
+            np.concatenate([x_lo.ravel(), x_hi.ravel()]),
+            np.concatenate([np.repeat(row, t_lo.size), np.repeat(row, t_hi.size)]),
+        )
+        terms_lo = half[:, None] * w_lo[None, :] * vals[: x_lo.size].reshape(x_lo.shape)
+        terms_hi = half[:, None] * w_hi[None, :] * vals[x_lo.size :].reshape(x_hi.shape)
+        ends = np.cumsum(panels)
+        still_open = []
+        for i, start, end in zip(open_rows, ends - panels, ends):
+            v1 = float(np.sum(terms_lo[start:end]))
+            v2 = float(np.sum(terms_hi[start:end]))
+            if tols[i] is None:
+                tols[i] = 1e-9 * max(1.0, abs(v1))
+            if abs(v2 - v1) <= tols[i]:
+                out[i] = v2
+            elif rnd == _MAX_REFINE:
+                out[i] = IntegrationError(
+                    "panel quadrature failed to meet tolerance",
+                    estimate=v2,
+                    error_bound=abs(v2 - v1),
+                )
+            else:
+                edges[i] = _split(edges[i])
+                still_open.append(i)
+        open_rows = still_open
+        if not open_rows:
+            break
+    return out

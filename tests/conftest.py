@@ -92,13 +92,17 @@ def arm_high(pa_high, scenario_high):
 
 @pytest.fixture
 def entropy_calls(monkeypatch):
-    """Replace se_engine.entropy_y by a cheap stand-in for the duration of a
-    test; returns the list of loadings the stand-in was called with."""
+    """Replace se_engine's batched entropy quadrature, which entropy_y and
+    se_curve both run on, by a cheap stand-in for the duration of a test;
+    returns the list of loadings handed to it."""
     calls = []
 
-    def stand_in(xi, scenario):
-        calls.append(xi)
-        return se_engine.noise_entropy(scenario) + math.log2(1.0 + scenario.gamma * xi) * (1.0 - 0.3 * xi)
+    def stand_in(xis, scenario):
+        calls.extend(xis)
+        return [
+            se_engine.noise_entropy(scenario) + math.log2(1.0 + scenario.gamma * xi) * (1.0 - 0.3 * xi)
+            for xi in xis
+        ]
 
-    monkeypatch.setattr(se_engine, "entropy_y", stand_in)
+    monkeypatch.setattr(se_engine, "_entropies", stand_in)
     return calls

@@ -1,9 +1,13 @@
 """End-to-end command-line checks, run in-process via main()."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ofdmsee
 from ofdmsee import (
     STANDING_DRAW_PER_WATT,
     DatasheetWarning,
@@ -136,6 +140,18 @@ class TestEeSweepAndTradeoff:
         assert float(header["window_hi"]) == pytest.approx(0.3399825458, abs=1e-6)
         assert "tradeoff window" in out.splitlines()[-1]
 
+    def test_tradeoff_at_1_km_keeps_its_table(self, capsys):
+        # the closed-form window is outside its domain at 25 dB: its header
+        # fields are empty and a note says why, but the sweep is all there
+        code, out, err = run(capsys, "tradeoff", "--xi-grid", GRID, "--d-km", "1")
+        assert code == 0 and err == ""
+        header, columns, rows = parse_csv(out)
+        assert header["window_lo"] == "" and header["window_hi"] == ""
+        assert len(rows) == 5 and all(float(row[1]) > 0.0 for row in rows)
+        assert out.splitlines()[-1].startswith(
+            "# tradeoff window is outside its domain: ValueError: closed_form needs"
+        )
+
 
 class TestOptimalXi:
     def test_printed_values(self, capsys):
@@ -177,6 +193,23 @@ class TestOptimalXi:
         assert code == 0
         _, _, rows = parse_csv(path.read_text())
         assert rows[1] == ["xi_se", "closed-form", "", ""]
+
+    def test_closed_form_warning_is_a_note_not_a_python_warning(self):
+        # the closed form falls back to a piece endpoint on the femto preset;
+        # that reaches stdout as a note beside its row, and stderr stays empty
+        src = Path(ofdmsee.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "ofdmsee.cli", "optimal-xi", "--bs-type", "femto"],
+            cwd=src, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0
+        assert "RuntimeWarning" not in done.stderr and done.stderr == ""
+        lines = done.stdout.splitlines()
+        assert lines[3].startswith("xi_ee closed-form: ")
+        assert lines[4] == (
+            "# xi_ee closed-form warns: piece 2 has non-positive v1; closed-form "
+            "candidate replaced by the better piece endpoint"
+        )
 
     def test_link_where_the_linear_bound_peaks_below_zeta(self, capsys):
         # the exact EE optimum needs no zeta hypothesis, so every row answers
@@ -278,6 +311,7 @@ class TestPasFrontier:
             raise AssertionError("evaluated se() despite empty targets")
 
         monkeypatch.setattr(se_engine, "entropy_y", entropy)
+        monkeypatch.setattr(se_engine, "_entropies", entropy)
         code, out, err = run(
             capsys, "pas-frontier", "--targets", "", "--duplex", "tdd", "--xi-grid", "0.1:1:5"
         )
@@ -293,6 +327,7 @@ class TestPasFrontier:
             raise AssertionError("evaluated se() despite invalid targets")
 
         monkeypatch.setattr(se_engine, "entropy_y", entropy)
+        monkeypatch.setattr(se_engine, "_entropies", entropy)
         code, out, err = run(
             capsys, "pas-frontier", f"--targets={targets}", "--duplex", "tdd", "--xi-grid", "0.1:1:5"
         )
@@ -305,7 +340,8 @@ class TestPasFrontier:
     def test_default_run_shares_se_curves(self, capsys, tmp_path, entropy_calls):
         # the default run makes 432 se() calls on 192 distinct inputs: the
         # probe's 48 loadings, then 2 arms x 48 loadings for each of the four
-        # variants, on 4 distinct (arm, insertion loss) scenarios
+        # variants, on 4 distinct (arm, insertion loss) scenarios; each
+        # distinct input is handed to the batched quadrature once
         for _ in range(2):
             entropy_calls.clear()
             code, _, err = run(capsys, "pas-frontier", "--out", str(tmp_path / "pf"))

@@ -36,6 +36,18 @@ def test_alias_is_not_exported():
     assert not hasattr(ofdmsee, "pdf_unclipped_closed")
 
 
+def test_every_traced_name_resolves():
+    # the benchmark's tracer looks these names up to wrap them; a name the
+    # package drops makes every traced benchmark run fail
+    from perfbench.tracer import TRACED
+
+    missing = [
+        f"{module}.{name}" for module, name in TRACED
+        if not callable(getattr(importlib.import_module("ofdmsee." + module), name, None))
+    ]
+    assert missing == []
+
+
 def test_import_leaves_scipy_spatial_unloaded():
     # only the kNN estimate_mi needs scipy.spatial, which is slow to import;
     # scipy.optimize is slow too, and the optimizers do without it

@@ -25,6 +25,7 @@ from ofdmsee import (
     se_ibo,
     se_ideal,
     se_lower_bound_multipath,
+    se_curve,
     se_memo,
     se_sweep,
     xi_se_max,
@@ -300,7 +301,9 @@ class TestSpectralEfficiency:
         # a guard on kernel work that needs no timing: on the default
         # pas-frontier grid (48 log-spaced loadings from 0.02 to 1) at the
         # reference link, the Marcum complement hands specfun's Bessel
-        # kernels 3,630 elements per se()
+        # kernels 2,742 elements per se(), one lattice per loading for the
+        # rule and its check together (3,630 when each took its own); a
+        # curve hands them the same count per loading
         elements = []
 
         def counted(kernel):
@@ -315,7 +318,11 @@ class TestSpectralEfficiency:
         grid = np.geomspace(0.02, 1.0, 48)
         for xi in grid:
             se(float(xi), scenario)
-        assert 0 < sum(elements) <= 4000 * grid.size
+        per_se = sum(elements)
+        assert 0 < per_se <= 3000 * grid.size
+        elements.clear()
+        se_curve(grid, scenario)
+        assert sum(elements) == per_se
 
     def test_rejects_out_of_range_loading(self, scenario):
         for bad in (0.0, 1.5, math.nan):
@@ -413,56 +420,76 @@ class TestEntropyLayout:
         assert abs(h - entropy_y_80(xi, sc)) <= 1e-10
 
     # 27 peak SNRs from -30 to 100 dB times 13 loadings from 1e-6 to 1
+    GRID_XI = np.geomspace(1e-6, 1.0, 13)
     GRID_351 = [(g, x) for g in np.arange(-30.0, 101.0, 5.0) for x in np.geomspace(1e-6, 1.0, 13)]
 
     @staticmethod
     def count_integrand_calls(monkeypatch):
-        """Make entropy_y's gauss_panels count integrand calls; returns one
-        count per entropy_y call, appended as the calls happen."""
-        real = se_engine.gauss_panels
+        """Make the entropy quadrature count its integrand calls; returns one
+        count per batch (one per entropy_y call), appended as the calls
+        happen."""
+        real = se_engine._gauss_panel_rows
         evals = []
 
-        def counting(f, edges, **kw):
-            def counted(x):
+        def counting(f, edge_rows, **kw):
+            def counted(x, rows):
                 evals[-1] += 1
-                return f(x)
+                return f(x, rows)
 
             evals.append(0)
-            return real(counted, edges, **kw)
+            return real(counted, edge_rows, **kw)
 
-        monkeypatch.setattr(se_engine, "gauss_panels", counting)
+        monkeypatch.setattr(se_engine, "_gauss_panel_rows", counting)
         return evals
 
     def test_first_check_meets_tolerance_everywhere(self, snr_scenario, monkeypatch):
         # a layout that met ENTROPY_TOL only by splitting its panels would
-        # give the time back: each point's integrand runs exactly twice, once
-        # at 8 nodes and once for the check at 12
+        # give the time back: each point's integrand runs exactly once, for
+        # the 8-node rule and its 12-node check together
         evals = self.count_integrand_calls(monkeypatch)
         points = self.GRID_351
         for g, x in points:
             entropy_y(float(x), snr_scenario(g))
-        assert evals == [2] * len(points) == [2] * 351
+        assert evals == [1] * len(points) == [1] * 351
+
+    @staticmethod
+    def coarse_edges(xi, scenario):
+        # 4 ring panels instead of 12
+        ring_lo, r_cut = _radial_window(scenario)
+        bulk_hi = min(r_cut, 10.0 * math.sqrt(scenario.signal_power(xi) + scenario.noise_variance))
+        parts = [np.linspace(0.0, bulk_hi, 9)]
+        if ring_lo > bulk_hi:
+            parts.append(np.linspace(bulk_hi, ring_lo, 3))
+        parts.append(np.linspace(ring_lo, r_cut, 5))
+        return np.unique(np.concatenate(parts))
 
     def test_check_refines_a_coarse_ring(self, snr_scenario, monkeypatch):
-        # 4 ring panels instead of 12 under-resolve the clip ring at some
-        # points; the 12-node check must see that and split panels there
-        # rather than hand back the 8-node value
-        def coarse_edges(xi, scenario):
-            ring_lo, r_cut = _radial_window(scenario)
-            bulk_hi = min(r_cut, 10.0 * math.sqrt(scenario.signal_power(xi) + scenario.noise_variance))
-            parts = [np.linspace(0.0, bulk_hi, 9)]
-            if ring_lo > bulk_hi:
-                parts.append(np.linspace(bulk_hi, ring_lo, 3))
-            parts.append(np.linspace(ring_lo, r_cut, 5))
-            return np.unique(np.concatenate(parts))
-
+        # 4 ring panels under-resolve the clip ring at some points; the
+        # 12-node check must see that and split panels there rather than
+        # hand back the 8-node value
         points = [(float(x), snr_scenario(g)) for g, x in self.GRID_351]
         default = [entropy_y(x, sc) for x, sc in points]
-        monkeypatch.setattr(se_engine, "_entropy_edges", coarse_edges)
+        monkeypatch.setattr(se_engine, "_entropy_edges", self.coarse_edges)
         evals = self.count_integrand_calls(monkeypatch)
         coarse = [entropy_y(x, sc) for x, sc in points]
-        assert len(evals) == 351 and max(evals) > 2
+        assert len(evals) == 351 and max(evals) > 1
         assert max(abs(c - d) for c, d in zip(coarse, default)) <= 1e-9
+
+    def test_coarse_ring_refines_inside_the_batch(self, snr_scenario, monkeypatch):
+        # one curve per SNR: the loadings that miss the tolerance are split
+        # and integrated again in later passes of the same batch, and each
+        # lands where it lands when integrated alone
+        scenarios = [snr_scenario(g) for g in (40.0, 70.0, 100.0)]
+        default = [se_curve(self.GRID_XI, sc) for sc in scenarios]
+        monkeypatch.setattr(se_engine, "_entropy_edges", self.coarse_edges)
+        evals = self.count_integrand_calls(monkeypatch)
+        coarse = [se_curve(self.GRID_XI, sc) for sc in scenarios]
+        # each curve's 13 loadings in batches of _BATCH_LOADINGS; some
+        # batch took extra passes to refine
+        assert len(evals) == 3 * math.ceil(13 / se_engine._BATCH_LOADINGS) and max(evals) > 1
+        for sc, got, want in zip(scenarios, coarse, default):
+            assert np.max(np.abs(got - want)) <= 1e-9, sc.gamma
+            assert [repr(float(v)) for v in got] == [repr(se(float(x), sc)) for x in self.GRID_XI]
 
 
 class TestSeMemo:
@@ -506,6 +533,30 @@ class TestSeMemo:
             monkeypatch.setattr(se_engine, "entropy_y", stand_in)
             assert se(0.3, scenario) > 0.0
         assert len(entropy_calls) == 3
+
+    def test_a_loading_that_fails_in_a_curve_stores_nothing(self, scenario, monkeypatch):
+        # one panel across the whole window for one loading: three rounds of
+        # splitting cannot resolve its clip ring, while its neighbours pass
+        bad, real = 0.3, se_engine._entropy_edges
+
+        def edges(xi, sc):
+            e = real(xi, sc)
+            return e[[0, -1]] if xi == bad else e
+
+        monkeypatch.setattr(se_engine, "_entropy_edges", edges)
+        with pytest.raises(IntegrationError) as alone:
+            se(bad, scenario)
+        with se_memo():
+            with pytest.raises(IntegrationError) as in_curve:
+                se_curve([0.1, bad, 0.5], scenario)
+            assert set(se_engine._SE_MEMO.get()) == {(0.1, scenario), (0.5, scenario)}
+            with pytest.raises(IntegrationError) as again:
+                se(bad, scenario)
+            kept = [se(0.1, scenario), se(0.5, scenario)]
+        want = (alone.value.estimate, alone.value.error_bound)
+        for err in (in_curve.value, again.value):
+            assert (err.estimate, err.error_bound) == want
+        assert kept == [se(0.1, scenario), se(0.5, scenario)]
 
     def test_nested_scope_reuses_the_outer_memo(self, scenario, entropy_calls):
         with se_memo():

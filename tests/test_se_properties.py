@@ -1,6 +1,7 @@
 """Physical invariants of the exact spectral efficiency over the whole
 parameter space: peak SNR from -30 to +100 dB and loading from 1e-6 to 1;
-and of the Marcum Q1 complement that truncates its unclipped density."""
+the batched SE curve against scalar se(); and the Marcum Q1 complement that
+truncates its unclipped density."""
 
 import math
 
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ofdmsee import clip_probability, marcum_q1_complement, pdf_clipped, pdf_unclipped, se, se_ideal
+from ofdmsee import (
+    clip_probability, marcum_q1_complement, pdf_clipped, pdf_unclipped, se, se_curve, se_ideal
+)
 from ofdmsee.se_engine import _entropy_edges
 from ofdmsee.specfun import _PANEL_H, gauss_panels
 
@@ -53,6 +56,32 @@ def test_branch_masses_on_entropy_panels(snr_scenario, g_db, xi):
     m_unclipped, m_clipped = mass(pdf_unclipped), mass(pdf_clipped)
     assert abs(m_unclipped + m_clipped - 1.0) <= 1e-9
     assert abs(m_clipped - clip_probability(xi)) <= 1e-9
+
+
+# (peak SNR dB, loadings) whose entropy panels between them take each edge
+# layout: 17 and 21 edges at 20 dB, 21, 22 and 23 at 51 dB
+CURVE_EXAMPLES = (
+    (20.0, list(np.geomspace(1e-6, 1.0, 12))),
+    (51.0, list(np.geomspace(1e-6, 1.0, 25))),
+)
+
+
+def test_curve_examples_take_every_layout(snr_scenario):
+    sizes = {_entropy_edges(float(x), snr_scenario(g)).size for g, xs in CURVE_EXAMPLES for x in xs}
+    assert sizes == {17, 21, 22, 23}
+
+
+# each example costs up to 25 batched and 25 scalar se() evaluations
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(g_db=gamma_db, xis=st.lists(loading, min_size=1, max_size=25))
+@example(g_db=CURVE_EXAMPLES[0][0], xis=CURVE_EXAMPLES[0][1])
+@example(g_db=CURVE_EXAMPLES[1][0], xis=CURVE_EXAMPLES[1][1])
+def test_curve_is_scalar_se_digit_for_digit(snr_scenario, g_db, xis):
+    # the batch shares density calls and Marcum lattices across loadings,
+    # yet each loading's value is the float se() gives it alone
+    sc = snr_scenario(g_db)
+    curve = se_curve(xis, sc)
+    assert [repr(float(v)) for v in curve] == [repr(se(x, sc)) for x in xis]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

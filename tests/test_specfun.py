@@ -91,6 +91,22 @@ class TestMarcumQ1:
         # a row's value does not depend on the rows beside it
         assert np.array_equal(got, one)
 
+    def test_array_b_matches_scalar_b(self):
+        # one b per entry of a, several entries per b and the a + 16 < b
+        # shortcut among them: each value is the one a call with that entry
+        # alone gives, wherever it sits in the array
+        rng = np.random.default_rng(5)
+        b = rng.choice([0.0, 0.4, 3.0, 9.0, 17.0, 40.0, 300.0], size=(30, 41))
+        a = np.abs(b + rng.uniform(-25.0, 45.0, size=b.shape))
+        got = marcum_q1_complement(a, b)
+        assert got.shape == a.shape
+        assert (a + 16.0 < b).any() and got[a + 16.0 < b].min() == 1.0
+        one = [marcum_q1_complement(float(ai), float(bi)) for ai, bi in zip(a.ravel(), b.ravel())]
+        assert np.array_equal(got.ravel(), one)
+        # a column of b broadcasts along the rows of a
+        col = marcum_q1_complement(a, b[:, :1])
+        assert np.array_equal(col[:, 3], marcum_q1_complement(a[:, 3], b[:, 0]))
+
     @pytest.mark.parametrize("b", [0.5, 2.0, 8.0, 30.0, 100.0, 500.0, 3000.0])
     def test_complement_against_chndtr(self, b):
         # 1 - Q1(a, b) is the CDF at b^2 of a noncentral chi-square with 2
