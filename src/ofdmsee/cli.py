@@ -244,7 +244,7 @@ def _render_json(command, params, columns, rows):
 
 def _note(args, text):
     """Human-facing summary line; '#'-prefixed so stdout stays a valid table."""
-    if getattr(args, "format", "csv") == "json" and getattr(args, "out", None) is None:
+    if args.format == "json" and args.out is None:
         return
     print(f"# {text}")
 
@@ -523,7 +523,7 @@ def _cmd_datasheet(args):
             )
         )
     _write_table(args.format, args.out, "datasheet", params, columns, rows)
-    if getattr(args, "out", None) is None:
+    if args.out is None:
         etas = [drain_efficiency(s) for s in specs]
         etas = [e for e in etas if e is not None]
         if etas:

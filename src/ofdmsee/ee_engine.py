@@ -40,20 +40,12 @@ class InfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class EeBreakdown:
-    """One EE evaluation with the quantities behind it.
-
-    v1 and v2 are the active consumption piece's coefficients
-    (pc = v1 + v2*sqrt(xi)); zeta is that piece's quasi-concavity threshold
-    (v + sqrt(1+v^2))^2 / gamma^2 with v = v2/v1.
-    """
+    """One EE evaluation with the quantities behind it."""
 
     xi: float
     se_bits: float
     pc_watts: float
     ee_bits_per_joule: float
-    v1: float
-    v2: float
-    zeta: float
 
 
 def _active_piece(xi, pieces):
@@ -200,10 +192,8 @@ def pareto_window(scenario, power_params, n_ways=2):
 
 
 def ee_breakdown(xi, scenario, power_params, n_ways=2):
-    """Full accounting of one EE evaluation (active piece included)."""
+    """One EE evaluation: the loading, its SE, its draw and their quotient."""
     xi = float(check_loading(xi))
-    pieces = doherty_pieces(power_params, n_ways)
-    _, v1, v2 = _active_piece(xi, pieces)
     se_bits = se(xi, scenario)
     pc = pc_nonlinear(xi, power_params, n_ways=n_ways)
     return EeBreakdown(
@@ -211,9 +201,6 @@ def ee_breakdown(xi, scenario, power_params, n_ways=2):
         se_bits=se_bits,
         pc_watts=pc,
         ee_bits_per_joule=scenario.bandwidth * se_bits / pc,
-        v1=v1,
-        v2=v2,
-        zeta=zeta(v1, v2, scenario.gamma) if v1 > 0.0 else math.nan,
     )
 
 
@@ -222,25 +209,20 @@ def ee_sweep(scenario, power_params, xi_values, n_ways=2):
 
     Returns a dict of arrays with keys xi, se_exact, ee_exact, ee_linear,
     ee_ideal, pc_watts (one entry per grid point); se_exact is the spectral
-    efficiency behind ee_exact, so callers need no second SE sweep. The SE
-    curve is integrated in one batch (se_curve), whose memo the per-point
-    breakdowns read.
+    efficiency behind ee_exact, so callers need no second SE sweep. Each
+    column is computed over the whole grid at once (the SE curve by
+    se_curve), and each entry is the float its per-point function gives:
+    se, ee, ee_linear, ee_ideal and pc_nonlinear.
     """
     xis = np.atleast_1d(np.asarray(xi_values, dtype=float))
-    out = {
+    se_exact = se_curve(xis, scenario)
+    pc = pc_nonlinear(xis, power_params, n_ways=n_ways)
+    rate_ideal = scenario.bandwidth * np.asarray([se_ideal(x, scenario) for x in xis])
+    return {
         "xi": xis.copy(),
-        "se_exact": np.empty_like(xis),
-        "ee_exact": np.empty_like(xis),
-        "ee_linear": np.empty_like(xis),
-        "ee_ideal": np.empty_like(xis),
-        "pc_watts": np.empty_like(xis),
+        "se_exact": se_exact,
+        "ee_exact": scenario.bandwidth * se_exact / pc,
+        "ee_linear": rate_ideal / pc,
+        "ee_ideal": rate_ideal / pc_ideal(xis, power_params, scenario.gain),
+        "pc_watts": pc,
     }
-    with se_memo():
-        out["se_exact"][:] = se_curve(xis, scenario)
-        for i, x in enumerate(xis):
-            point = ee_breakdown(x, scenario, power_params, n_ways)
-            out["ee_exact"][i] = point.ee_bits_per_joule
-            out["ee_linear"][i] = ee_linear(x, scenario, power_params, n_ways=n_ways)
-            out["ee_ideal"][i] = ee_ideal(x, scenario, power_params)
-            out["pc_watts"][i] = point.pc_watts
-    return out

@@ -258,33 +258,15 @@ def pas_frontier(se_targets, config, xi_grid, xi_mode="shared"):
     se_flat = se_mat.ravel()
     ee_flat = ee_mat.ravel()
     points = []
+    # one target at a time: a targets x candidates mask would grow with both
+    # user-set grids
     for target in targets:
-        mask = se_flat >= target - 1e-12
-        if not np.any(mask):
-            points.append(
-                FrontierPoint(
-                    se_target=float(target),
-                    se=math.nan,
-                    ee=math.nan,
-                    kappa=math.nan,
-                    xi1=math.nan,
-                    xi2=math.nan,
-                    feasible=False,
-                )
-            )
-            continue
-        idx_masked = np.nonzero(mask)[0]
-        best = idx_masked[np.argmax(ee_flat[idx_masked])]
-        row, pair = divmod(int(best), i1.size)
-        points.append(
-            FrontierPoint(
-                se_target=float(target),
-                se=float(se_flat[best]),
-                ee=float(ee_flat[best]),
-                kappa=float(kappas[row]),
-                xi1=float(xis[i1[pair]]),
-                xi2=float(xis[i2[pair]]),
-                feasible=True,
-            )
-        )
+        floor = target - 1e-12
+        best = int(np.argmax(np.where(se_flat >= floor, ee_flat, -np.inf)))
+        if se_flat[best] >= floor:
+            row, pair = divmod(best, i1.size)
+            found = (se_flat[best], ee_flat[best], kappas[row], xis[i1[pair]], xis[i2[pair]])
+            points.append(FrontierPoint(float(target), *map(float, found), feasible=True))
+        else:
+            points.append(FrontierPoint(float(target), *[math.nan] * 5, feasible=False))
     return points

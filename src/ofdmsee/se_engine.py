@@ -451,19 +451,14 @@ def se_sweep(scenario, xi_values):
     """Evaluate the SE family over a loading grid.
 
     Returns a dict of arrays with keys xi, se_exact, se_ideal, se_ibo,
-    pr_clip (one entry per grid point).
+    pr_clip (one entry per grid point). Each entry is the float its per-point
+    function gives: se (by se_curve), se_ideal, se_ibo and clip_probability.
     """
     xis = np.atleast_1d(np.asarray(xi_values, dtype=float))
-    out = {
+    return {
         "xi": xis.copy(),
-        "se_exact": np.empty_like(xis),
-        "se_ideal": np.empty_like(xis),
-        "se_ibo": np.empty_like(xis),
-        "pr_clip": np.empty_like(xis),
+        "se_exact": se_curve(xis, scenario),
+        "se_ideal": np.asarray([se_ideal(x, scenario) for x in xis]),
+        "se_ibo": np.asarray([se_ibo(x, scenario) for x in xis]),
+        "pr_clip": clip_probability(xis),
     }
-    out["se_exact"][:] = se_curve(xis, scenario)
-    for i, x in enumerate(xis):
-        out["se_ideal"][i] = se_ideal(x, scenario)
-        out["se_ibo"][i] = se_ibo(x, scenario)
-        out["pr_clip"][i] = clip_probability(x)
-    return out

@@ -98,18 +98,14 @@ def marcum_q1_complement(a, b):
     """
     arr = np.asarray(a, dtype=float).ravel()
     bb = np.asarray(b, dtype=float)
-    if bb.ndim:
-        bb = np.broadcast_to(bb, np.shape(a)).ravel()
     if not all(np.all(np.isfinite(v) & (v >= 0.0)) for v in (arr, bb)):
         raise ValueError("marcum_q1 requires finite a, b >= 0")
+    bb = np.broadcast_to(bb, np.shape(a)).ravel()
     out = np.ones(arr.shape)
     edge = np.flatnonzero(arr + 16.0 >= bb)
     if edge.size:
         # the distinct b of the rows, and each row's index among them
-        if bb.ndim:
-            lattice_b, row_b = np.unique(bb[edge], return_inverse=True)
-        else:
-            lattice_b, row_b = bb.reshape(1), np.zeros(edge.size, dtype=int)
+        lattice_b, row_b = np.unique(bb[edge], return_inverse=True)
         b_rows = lattice_b[row_b]
         u = arr[edge] - b_rows
         top = int(40.0 / _PANEL_H)

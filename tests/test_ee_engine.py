@@ -60,9 +60,6 @@ class TestEeValues:
         assert b.ee_bits_per_joule == pytest.approx(
             1e7 * b.se_bits / b.pc_watts, rel=1e-12
         )
-        # piece 2 is active above the knee
-        pieces = doherty_pieces(macro_power, n_ways=2)
-        assert (b.v1, b.v2) == (pieces[1][2], pieces[1][3])
 
 
 class TestQuasiConcavity:

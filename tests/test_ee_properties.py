@@ -22,16 +22,21 @@ from ofdmsee import (
     Duplex,
     LinkScenario,
     PasConfig,
+    clip_probability,
     ee,
     ee_ideal,
     ee_linear,
+    ee_sweep,
     embedded_datasheet,
     find_pa,
     pa_with_loss,
     pas_ee,
     pc_nonlinear,
     se,
+    se_ibo,
+    se_ideal,
     se_memo,
+    se_sweep,
     switched_arm,
     xi_ee_max,
     xi_se_max,
@@ -126,6 +131,32 @@ def test_one_arm_schedule_is_that_arms_ee(schedule):
     xi, config, arm = schedule
     lossy = pa_with_loss(arm.scenario, config.insertion_loss_db)
     assert pas_ee(xi, config) == ee(xi, lossy, arm.power, n_ways=config.n_ways)
+
+
+# each example costs about three se() evaluations per loading
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(link=sized_links(), xis=st.lists(loadings, min_size=1, max_size=20))
+def test_sweep_columns_are_the_per_point_floats(link, xis):
+    # the sweeps compute each column over the whole grid at once, yet every
+    # entry is the float its per-point function gives that loading alone
+    sc, power, n_ways = link
+    se_table = se_sweep(sc, xis)
+    ee_table = ee_sweep(sc, power, xis, n_ways=n_ways)
+    per_point = [
+        (se_table, "se_exact", lambda x: se(x, sc)),
+        (se_table, "se_ideal", lambda x: se_ideal(x, sc)),
+        (se_table, "se_ibo", lambda x: se_ibo(x, sc)),
+        (se_table, "pr_clip", clip_probability),
+        (ee_table, "se_exact", lambda x: se(x, sc)),
+        (ee_table, "ee_exact", lambda x: ee(x, sc, power, n_ways=n_ways)),
+        (ee_table, "ee_linear", lambda x: ee_linear(x, sc, power, n_ways=n_ways)),
+        (ee_table, "ee_ideal", lambda x: ee_ideal(x, sc, power)),
+        (ee_table, "pc_watts", lambda x: pc_nonlinear(x, power, n_ways=n_ways)),
+    ]
+    for table in (se_table, ee_table):
+        assert list(table["xi"]) == xis
+    for table, column, f in per_point:
+        assert list(table[column]) == [f(x) for x in xis], column
 
 
 # the log grid that the exact optima must match or beat; it reaches below

@@ -4,6 +4,7 @@ import ast
 import importlib
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import ofdmsee
@@ -91,6 +92,40 @@ def test_every_import_is_used_or_exported():
                     if name != "*" and name not in read and name not in exported:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_private_module_name_is_used():
+    # a module-level private function, class or constant that no code of the
+    # package reads is a helper a refactor left behind
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(ofdmsee.__file__).resolve().parent.glob("*.py"))
+    }
+
+    def reads(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    read = Counter(name for tree in trees.values() for name in reads(tree))
+    idle = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = Counter(reads(node))
+            for name in names:
+                private = name.startswith("_") and not name.startswith("__")
+                if private and read[name] - own[name] == 0:
+                    idle.append(f"{file}:{node.lineno} {name}")
+    assert idle == []
 
 
 def test_each_formula_is_written_in_one_module():

@@ -1,6 +1,7 @@
 """Two-amplifier switching schedules: SE/EE accounting and the frontier."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -259,3 +260,65 @@ class TestFrontier:
     def test_bad_mode_rejected(self, tdd_clean, grid):
         with pytest.raises(ValueError):
             pas_frontier([10.0], tdd_clean, xi_mode="other", xi_grid=grid)
+
+
+def schedule_candidates(config, xis, xi_mode):
+    """Every (pas_se, pas_ee, kappa, xi1, xi2) the frontier searches, in its
+    order: kappa-major, then the loading pairs (the grid's diagonal for
+    shared, every (xi1, xi2) with xi1 major for per_pa)."""
+    pairs = [(x, x) for x in xis] if xi_mode == "shared" else [(a, b) for a in xis for b in xis]
+    out = []
+    with se_memo():
+        for k in range(config.frame_count + 1):
+            at = replace(config, kappa=k / config.frame_count)
+            out.extend((pas_se(pair, at), pas_ee(pair, at), at.kappa, *pair) for pair in pairs)
+    return out
+
+
+def brute_force_pick(target, candidates):
+    """The first candidate of largest pas_ee among those whose pas_se reaches
+    target - 1e-12, by a plain loop; None when none does."""
+    pick = None
+    for cand in candidates:
+        if cand[0] >= target - 1e-12 and (pick is None or cand[1] > pick[1]):
+            pick = cand
+    return pick
+
+
+class TestFrontierSelection:
+    @pytest.mark.parametrize("xi_mode", ["shared", "per_pa"])
+    def test_each_point_is_the_brute_force_pick(self, tdd_clean, xi_mode):
+        cfg = replace(tdd_clean, duplex=Duplex.FDD, switching_time=1e-5, insertion_loss_db=1.0)
+        xis = list(np.geomspace(0.02, 1.0, 8))
+        candidates = schedule_candidates(cfg, xis, xi_mode)
+        ses = sorted(c[0] for c in candidates)
+        # zero, a candidate's SE, one that only the top candidate meets and
+        # only within the 1e-12 slack, targets spread between the
+        # candidates, and one above every candidate
+        targets = [0.0, ses[len(ses) // 2], ses[-1] + 5e-13]
+        targets += list(np.linspace(ses[0], ses[-1], 9)) + [ses[-1] + 1.0]
+        want = [brute_force_pick(t, candidates) for t in targets]
+        got = pas_frontier(targets, cfg, xi_grid=xis, xi_mode=xi_mode)
+        assert want[2] is not None and want[-1] is None
+        for target, point, pick in zip(targets, got, want):
+            assert point.se_target == target
+            if pick is None:
+                assert not point.feasible
+                assert all(math.isnan(v) for v in (point.se, point.ee, point.kappa, point.xi1, point.xi2))
+            else:
+                assert point.feasible
+                assert (point.se, point.ee, point.kappa, point.xi1, point.xi2) == pick, target
+
+    def test_no_targets_by_candidates_array(self, tdd_clean):
+        # 200 targets over 21 kappas x 100^2 loading pairs: a boolean
+        # targets x candidates mask alone would take 42 MB
+        xis = np.geomspace(0.02, 1.0, 100)
+        targets = np.linspace(0.0, 20.0, 200)
+        candidates = (tdd_clean.frame_count + 1) * xis.size**2
+        tracemalloc.start()
+        try:
+            pas_frontier(targets, tdd_clean, xi_grid=xis, xi_mode="per_pa")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < targets.size * candidates
