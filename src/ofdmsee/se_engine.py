@@ -22,7 +22,7 @@ from ._common import (
 )
 from .pa_models import clip_probability
 from .specfun import (
-    IntegrationError, WBranch, _gauss_panel_rows, bessel_i0e, lambert_w, marcum_q1_complement
+    IntegrationError, WBranch, _GK15, _gauss_panel_rows, bessel_i0e, lambert_w, marcum_q1_complement
 )
 
 __all__ = [
@@ -174,8 +174,9 @@ def pdf_unclipped(r, xi, scenario):
 
     That complement (specfun.marcum_q1_complement) is the one evaluation
     path: one cumulative integral over the noncentrality per call. It is
-    exactly 1 on interior radii, whose ridge lies more than 16 of its widths
-    below b_max (a + 16 < b), so there the density is the Gaussian itself.
+    exactly 1 on interior radii, whose ridge lies more than 9 of its widths
+    below b_max (b - a > 9, where Q1 <= exp(-(b - a)^2 / 2) rounds away), so
+    there the density is the Gaussian itself.
     """
     xi = check_loading(xi)
     rr = _as_radii(r)
@@ -235,16 +236,38 @@ def _radial_window(scenario):
     return max(0.0, bmax - 12.0 * sig), bmax + 10.0 * sig
 
 
+def _edge_layout(segments):
+    # (1 - t, t, lo, hi) of the edges of (panels, lo knot, hi knot) segments
+    # laid end to end: edge j sits at (1 - t_j) knot[lo_j] + t_j knot[hi_j],
+    # which is the knot itself at either end of its segment; a segment that
+    # starts at the knot where the last one ended leaves its first edge out
+    t, lo, hi, end = [], [], [], None
+    for n, a, b in segments:
+        at = np.arange(n + 1)[int(a == end) :] / n
+        t.append(at)
+        lo.append(np.full(at.size, a))
+        hi.append(np.full(at.size, b))
+        end = b
+    t = np.concatenate(t)
+    return 1.0 - t, t, np.concatenate(lo), np.concatenate(hi)
+
+
+# entropy panels over the knots (0, bulk_hi, ring_lo, r_cut): 8 over the
+# signal bulk and 13 over the clip ring, which overlap, or lie apart with 2
+# more across the gap between them
+_BULK_AND_RING = _edge_layout([(8, 0, 1), (13, 2, 3)])
+_BULK_GAP_RING = _edge_layout([(8, 0, 1), (2, 1, 2), (13, 2, 3)])
+
+
 def _entropy_edges(xi, scenario):
     gp = scenario.signal_power(xi)
     ring_lo, r_cut = _radial_window(scenario)
     bulk_hi = min(r_cut, 10.0 * math.sqrt(gp + scenario.noise_variance))
-    parts = [np.linspace(0.0, bulk_hi, 9)]
-    if ring_lo > bulk_hi:
-        parts.append(np.linspace(bulk_hi, ring_lo, 3))
-    parts.append(np.linspace(ring_lo, r_cut, 13))
-    parts.append(np.asarray([r_cut]))
-    return np.unique(np.concatenate(parts))
+    knots = np.array([0.0, bulk_hi, ring_lo, r_cut])
+    gap = ring_lo > bulk_hi
+    s, t, lo, hi = _BULK_GAP_RING if gap else _BULK_AND_RING
+    edges = s * knots[lo] + t * knots[hi]
+    return edges if gap else np.unique(edges)
 
 
 def _entropies(xis, scenario):
@@ -266,7 +289,7 @@ def _entropies(xis, scenario):
             return -2.0 * math.pi * radii * f * logf
 
         edge_rows = [_entropy_edges(float(x), scenario) for x in batch]
-        for h_nats in _gauss_panel_rows(integrand, edge_rows, order=8, tol=ENTROPY_TOL * LN2):
+        for h_nats in _gauss_panel_rows(integrand, edge_rows, rule=_GK15, tol=ENTROPY_TOL * LN2):
             out.append(h_nats if isinstance(h_nats, IntegrationError) else h_nats / LN2)
     return out
 
@@ -278,14 +301,15 @@ def entropy_y(xi, scenario):
     r_cut = b_max + 10*sigma; the mass beyond r_cut is bounded by the noise
     tail exp(-100) < 1e-9 since the amplified signal amplitude never exceeds
     b_max. The panels concentrate on the signal bulk (8 panels out to ten
-    standard deviations of the received sample) and on the clip ring (12
+    standard deviations of the received sample) and on the clip ring (13
     panels from b_max - 12*sigma to r_cut), with 2 more across any gap
-    between the two; each carries 8 Gauss-Legendre nodes. f(r) = 0
-    contributes zero (0*log 0 = 0). The error check recomputes the integral
-    at 12 nodes, from the same density call, and must agree to ENTROPY_TOL
-    bits; the panels are split if it does not, and IntegrationError is
-    raised if refinement cannot meet it. This is the batched quadrature of
-    se_curve on a batch of one loading, so both give the same float.
+    between the two; each carries the 15 nodes of a Gauss-Kronrod 7/15 rule,
+    whose Kronrod value is returned. f(r) = 0 contributes zero
+    (0*log 0 = 0). The error check is the embedded 7-node Gauss rule on the
+    same density values, and must agree to ENTROPY_TOL bits; the panels are
+    split if it does not, and IntegrationError is raised if refinement
+    cannot meet it. This is the batched quadrature of se_curve on a batch of
+    one loading, so both give the same float.
     """
     h = _entropies([float(check_loading(xi))], scenario)[0]
     if isinstance(h, IntegrationError):

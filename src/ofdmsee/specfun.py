@@ -3,10 +3,12 @@
 The exponentially scaled modified Bessel function I0 (scipy's i0e), the
 first-order Marcum Q function as one cumulative integral of its derivative
 in the noncentrality (scipy's i1e), both real branches of the Lambert W
-function, and fixed Gauss-Legendre panels with an error check for vectorized
-integrands, one integral at a time or a batch of them from one call of the
-integrand per pass. The Marcum Q1 complement is the package's one Bessel-kernel
-integral: the unclipped received density in se_engine is a Gaussian times it.
+function, and fixed panels with an embedded error check for vectorized
+integrands (a Gauss-Legendre pair, or the Gauss-Kronrod 7/15 pair of the
+entropy quadrature), one integral at a time or a batch of them from one call
+of the integrand per pass. The Marcum Q1 complement is the package's one
+Bessel-kernel integral: the unclipped received density in se_engine is a
+Gaussian times it.
 """
 
 import enum
@@ -65,19 +67,17 @@ def _leggauss(order):
 _PANEL_H = 0.5
 _PANEL_NODES = 8
 
-# rows per block of partial panels, so their temporaries stay small and in cache
-_BLOCK_ROWS = 64
+# b - a beyond which 1 - Q1(a, b) rounds to exactly 1.0: Q1(a, b) <=
+# exp(-(b - a)^2 / 2) < 3e-18 there, below half an ulp of 1.0 (2^-54)
+_ONE_CUT = 9.0
+
+# rows per block of partial panels, so their temporaries stay small
+_BLOCK_ROWS = 512
 
 
-def _panel_sums(b, mid, half):
-    # integral of dQ1/dt = b exp(-u^2/2) i1e(b (b + u)), t = b + u, over each panel
-    # mid +- half in u, row i at its own b[i]; einsum, not BLAS gemv, whose sum
-    # order depends on a row's place
-    x, w = _leggauss(_PANEL_NODES)
-    u = mid[:, None] + half[:, None] * x
-    b = b[:, None]
-    vals = b * np.exp(-0.5 * u * u) * bessel_i1e(b * (b + u))
-    return half * np.einsum("ij,j->i", vals, w)
+def _dq1(b, u):
+    # dQ1/dt = b exp(-u^2/2) i1e(b (b + u)) at t = b + u; b broadcasts against u
+    return b * np.exp(-0.5 * u * u) * bessel_i1e(b * (b + u))
 
 
 def marcum_q1_complement(a, b):
@@ -88,10 +88,11 @@ def marcum_q1_complement(a, b):
     complements keep their relative accuracy. Panels of 8 nodes on the lattice
     t_k = b + k/2, which depends on b alone, run up to b + 40 (the integrand
     underflows above) and are summed from the top down, once per distinct b of
-    the call; a row adds its partial panel [a, t_k] (t_k the first lattice point
-    above a) to the sum above t_k, so its value does not depend on the other
-    rows of the call. Where a + 16 < b, Q1 < e^-128 and the complement is
-    exactly 1.0.
+    the call, all of them in one array pass; a row adds its partial panel
+    [a, t_k] (t_k the first lattice point above a) to the sum above t_k, so its
+    value does not depend on the other rows of the call. Where b - a > 9,
+    Q1(a, b) <= exp(-(b - a)^2 / 2) < 3e-18, so 1 - Q1 rounds to 1.0, and the
+    complement is exactly 1.0.
 
     Relative error against a 50-digit Bessel series: 7e-15 down to 1e-16, 9e-12
     at 1e-33, 2.7e-10 at 1e-51, 1.4e-8 at 1e-89 (a - b = 20); 0 past a - b = 38.
@@ -102,7 +103,7 @@ def marcum_q1_complement(a, b):
         raise ValueError("marcum_q1 requires finite a, b >= 0")
     bb = np.broadcast_to(bb, np.shape(a)).ravel()
     out = np.ones(arr.shape)
-    edge = np.flatnonzero(arr + 16.0 >= bb)
+    edge = np.flatnonzero(arr + _ONE_CUT >= bb)
     if edge.size:
         # the distinct b of the rows, and each row's index among them
         lattice_b, row_b = np.unique(bb[edge], return_inverse=True)
@@ -112,22 +113,24 @@ def marcum_q1_complement(a, b):
         # row i's partial panel ends at lattice point k[i], at most the top
         k = np.minimum(np.floor(u / _PANEL_H).astype(int) + 1, top)
         k0 = int(k.min())
-        lattice = np.arange(k0, top + 1) * _PANEL_H
-        # per b, each lattice point's sum of the full panels above it, taken top down
-        n = lattice.size - 1
-        lo = np.tile(lattice[:-1], lattice_b.size)
-        hi = np.tile(lattice[1:], lattice_b.size)
+        x, w = _leggauss(_PANEL_NODES)
+        # every full panel from t_k0 to the top, for every b at once, as
+        # (b, panel, node); per b, each lattice point's sum of the panels
+        # above it, taken top down
+        h2 = 0.5 * _PANEL_H
+        nodes = (np.arange(k0, top) * _PANEL_H + h2)[:, None] + h2 * x
         with np.errstate(under="ignore"):
-            full = _panel_sums(np.repeat(lattice_b, n), 0.5 * (hi + lo), 0.5 * (hi - lo))
-            above = np.zeros((lattice_b.size, n + 1))
-            above[:, :-1] = np.cumsum(full.reshape(lattice_b.size, n)[:, ::-1], axis=1)[:, ::-1]
+            full = h2 * np.einsum("bpn,n->bp", _dq1(lattice_b[:, None, None], nodes), w)
+            above = np.zeros((lattice_b.size, top - k0 + 1))
+            above[:, :-1] = np.cumsum(full[:, ::-1], axis=1)[:, ::-1]
             c = above[row_b, k - k0]
             # each row's partial panel [a, t_k], in blocks of rows
             hi = np.maximum(u, k * _PANEL_H)
             mid, half = 0.5 * (hi + u), 0.5 * (hi - u)
             for start in range(0, edge.size, _BLOCK_ROWS):
                 rows = slice(start, start + _BLOCK_ROWS)
-                c[rows] += _panel_sums(b_rows[rows], mid[rows], half[rows])
+                vals = _dq1(b_rows[rows, None], mid[rows, None] + half[rows, None] * x)
+                c[rows] += half[rows] * np.einsum("in,n->i", vals, w)
         out[edge] = np.clip(c, 0.0, 1.0)
     return scalar_like(a, out.reshape(np.shape(a)))
 
@@ -136,7 +139,7 @@ def marcum_q1(a, b):
     """First-order Marcum Q function Q1(a, b) = 1 - marcum_q1_complement(a, b).
 
     Accurate in absolute terms (about 1e-14); a Q1 far below that, deep in
-    the upper tail b >> a, reads as 0, and it is exactly 0 for a + 16 < b.
+    the upper tail b >> a, reads as 0, and it is exactly 0 for b - a > 9.
     """
     return 1.0 - marcum_q1_complement(a, b)
 
@@ -238,6 +241,65 @@ def lambert_w(q, branch=WBranch.PRINCIPAL):
 # rounds of panel splitting gauss_panels tries before it gives up
 _MAX_REFINE = 3
 
+# the Gauss-Kronrod 7/15 pair on [-1, 1] (Kronrod 1965; Laurie 1997), the
+# digits scipy.integrate's quad_vec carries: the Kronrod rule's nodes from
+# the end inwards and their weights, and the weights of the 7-node Gauss
+# rule, which takes every other one of those nodes from the second on
+_GK15_NODES = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_GK15_WEIGHTS = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_G7_WEIGHTS = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+
+
+def _gk15():
+    # (nodes, value weights, check weights) of the 15 nodes in ascending
+    # order: the Kronrod value checked by its embedded Gauss rule
+    half = np.asarray(_GK15_NODES)
+    nodes = np.concatenate([-half[:-1], half[::-1]])
+    kronrod = np.asarray(_GK15_WEIGHTS)
+    gauss = np.zeros(15)
+    gauss[1::2] = np.concatenate([_G7_WEIGHTS, _G7_WEIGHTS[-2::-1]])
+    return nodes, np.concatenate([kronrod[:-1], kronrod[::-1]]), gauss
+
+
+# the entropy quadrature's rule: 15 integrand values per panel give the
+# Kronrod value and its 7-node Gauss check
+_GK15 = _gk15()
+
+
+def _gauss_pair(order):
+    # (nodes, value weights, check weights): Gauss-Legendre at 1.5x the
+    # order checked by Gauss-Legendre at the order, both nodes sets side by side
+    t_lo, w_lo = _leggauss(order)
+    t_hi, w_hi = _leggauss(order + order // 2)
+    return (
+        np.concatenate([t_lo, t_hi]),
+        np.concatenate([np.zeros(order), w_hi]),
+        np.concatenate([w_lo, np.zeros(t_hi.size)]),
+    )
+
 
 def gauss_panels(f, edges, order=32, tol=None):
     """Integrate a vectorized function over the panels defined by `edges`.
@@ -247,16 +309,19 @@ def gauss_panels(f, edges, order=32, tol=None):
     1.5x the order; the panels are split until the two estimates agree to
     `tol` (absolute; by default 1e-9 * max(1, |first estimate|)), and the
     higher-order one is returned. Raises IntegrationError when _MAX_REFINE
-    rounds of splitting do not reach it. This is _gauss_panel_rows on a
+    rounds of splitting do not reach it, and ValueError for an order below 2,
+    whose check rule would be the rule itself. This is _gauss_panel_rows on a
     single row.
     """
+    if order < 2:
+        raise ValueError("gauss_panels needs order >= 2, so its check differs from its rule")
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) < 0):
         raise ValueError("edges must be a nondecreasing 1-D array")
     edges = edges[np.concatenate(([True], np.diff(edges) > 0))]
     if edges.size < 2:
         return 0.0
-    value = _gauss_panel_rows(lambda x, _rows: f(x), [edges], order, tol)[0]
+    value = _gauss_panel_rows(lambda x, _rows: f(x), [edges], _gauss_pair(order), tol)[0]
     if isinstance(value, IntegrationError):
         raise value
     return value
@@ -268,18 +333,22 @@ def _split(edges):
     return np.sort(np.concatenate([edges, mids]))
 
 
-def _gauss_panel_rows(f, edge_rows, order, tol):
-    """gauss_panels on several integrals at once: row i over the panels of
-    edge_rows[i] (strictly increasing), each row refined on its own.
+def _gauss_panel_rows(f, edge_rows, rule, tol):
+    """gauss_panels on several integrals at once, by an embedded rule: row i
+    over the panels of edge_rows[i] (strictly increasing), each row refined
+    on its own.
 
-    f(x, rows) gets the abscissae of every row still open, both rules of each,
-    in one array, and for each abscissa the index of its row. A row's two
-    estimates are each summed over that row's panels alone, so its value is the
-    one it gets integrated by itself. Returns one entry per row: the
-    higher-order estimate, or the IntegrationError gauss_panels would raise.
+    rule is (nodes, value weights, check weights) on [-1, 1]; the value and
+    its check are two weightings of the same integrand values (_GK15, or
+    gauss_panels' Gauss pair). f(x, rows) gets the nodes of every panel of
+    every row still open in one array, and for each abscissa the index of its
+    row. A row's value and check are each summed over that row's panels
+    alone, so its result is the one it gets integrated by itself. The default
+    tol is 1e-9 * max(1, |check|). Returns one entry per row: the value, or
+    the IntegrationError gauss_panels would raise.
     """
-    t_lo, w_lo = _leggauss(order)
-    t_hi, w_hi = _leggauss(order + order // 2)
+    nodes = rule[0]
+    weights = np.stack(rule[1:], axis=1)
     edges = list(edge_rows)
     tols = [tol] * len(edges)
     out = [None] * len(edges)
@@ -288,31 +357,24 @@ def _gauss_panel_rows(f, edge_rows, order, tol):
         panels = np.asarray([edges[i].size - 1 for i in open_rows])
         lo = np.concatenate([edges[i][:-1] for i in open_rows])
         hi = np.concatenate([edges[i][1:] for i in open_rows])
-        mid = 0.5 * (hi + lo)
         half = 0.5 * (hi - lo)
-        x_lo = mid[:, None] + half[:, None] * t_lo[None, :]
-        x_hi = mid[:, None] + half[:, None] * t_hi[None, :]
-        row = np.repeat(open_rows, panels)
-        vals = f(
-            np.concatenate([x_lo.ravel(), x_hi.ravel()]),
-            np.concatenate([np.repeat(row, t_lo.size), np.repeat(row, t_hi.size)]),
+        x = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
+        vals = f(x.ravel(), np.repeat(open_rows, panels * nodes.size)).reshape(x.shape)
+        # each panel's value and check, then each row's sums over its panels
+        sums = np.add.reduceat(
+            half[:, None] * np.einsum("pn,nk->pk", vals, weights), np.cumsum(panels) - panels
         )
-        terms_lo = half[:, None] * w_lo[None, :] * vals[: x_lo.size].reshape(x_lo.shape)
-        terms_hi = half[:, None] * w_hi[None, :] * vals[x_lo.size :].reshape(x_hi.shape)
-        ends = np.cumsum(panels)
         still_open = []
-        for i, start, end in zip(open_rows, ends - panels, ends):
-            v1 = float(np.sum(terms_lo[start:end]))
-            v2 = float(np.sum(terms_hi[start:end]))
+        for i, (value, check) in zip(open_rows, sums.tolist()):
             if tols[i] is None:
-                tols[i] = 1e-9 * max(1.0, abs(v1))
-            if abs(v2 - v1) <= tols[i]:
-                out[i] = v2
+                tols[i] = 1e-9 * max(1.0, abs(check))
+            if abs(value - check) <= tols[i]:
+                out[i] = value
             elif rnd == _MAX_REFINE:
                 out[i] = IntegrationError(
                     "panel quadrature failed to meet tolerance",
-                    estimate=v2,
-                    error_bound=abs(v2 - v1),
+                    estimate=value,
+                    error_bound=abs(value - check),
                 )
             else:
                 edges[i] = _split(edges[i])

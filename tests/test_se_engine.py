@@ -68,9 +68,9 @@ def pdf_unclipped_256(r, xi, scenario):
 
 
 def interior(r, xi, scenario):
-    """Radii whose Marcum complement is exactly 1 (a + 16 < b: the ridge lies
-    more than 16 of its widths below b_max), where the unclipped density does
-    not see the truncation."""
+    """Radii whose ridge lies more than 16 of its widths below b_max
+    (a + 16 < b): a subset of those whose Marcum complement is exactly 1
+    (b - a > 9), where the unclipped density does not see the truncation."""
     gp = scenario.signal_power(xi)
     s2 = scenario.noise_variance
     rho_star = np.asarray(r, dtype=float) * gp / (gp + s2)
@@ -301,9 +301,10 @@ class TestSpectralEfficiency:
         # a guard on kernel work that needs no timing: on the default
         # pas-frontier grid (48 log-spaced loadings from 0.02 to 1) at the
         # reference link, the Marcum complement hands specfun's Bessel
-        # kernels 2,742 elements per se(), one lattice per loading for the
-        # rule and its check together (3,630 when each took its own); a
-        # curve hands them the same count per loading
+        # kernels 1,928 elements per se(), one lattice per loading for the
+        # Kronrod rule and its Gauss check together (2,742 with a Gauss pair
+        # of 8 and 12 nodes and a cut at b - a > 16); a curve hands them the
+        # same count per loading
         elements = []
 
         def counted(kernel):
@@ -319,7 +320,7 @@ class TestSpectralEfficiency:
         for xi in grid:
             se(float(xi), scenario)
         per_se = sum(elements)
-        assert 0 < per_se <= 3000 * grid.size
+        assert 0 < per_se <= 2000 * grid.size
         elements.clear()
         se_curve(grid, scenario)
         assert sum(elements) == per_se
@@ -444,17 +445,28 @@ class TestEntropyLayout:
 
     def test_first_check_meets_tolerance_everywhere(self, snr_scenario, monkeypatch):
         # a layout that met ENTROPY_TOL only by splitting its panels would
-        # give the time back: each point's integrand runs exactly once, for
-        # the 8-node rule and its 12-node check together
+        # give the time back: each point's integrand runs exactly once, on
+        # the 15 Kronrod nodes that carry the 7-node Gauss check too, and the
+        # grid's radii stay within their count (114,270; 144,520 with a Gauss
+        # pair of 8 and 12 nodes on 12 ring panels)
+        radii = []
+        real = se_engine.pdf_unclipped
+
+        def counting(r, xi, scenario):
+            radii.append(np.size(r))
+            return real(r, xi, scenario)
+
+        monkeypatch.setattr(se_engine, "pdf_unclipped", counting)
         evals = self.count_integrand_calls(monkeypatch)
         points = self.GRID_351
         for g, x in points:
             entropy_y(float(x), snr_scenario(g))
         assert evals == [1] * len(points) == [1] * 351
+        assert sum(radii) <= 115_000
 
     @staticmethod
     def coarse_edges(xi, scenario):
-        # 4 ring panels instead of 12
+        # 4 ring panels instead of 13
         ring_lo, r_cut = _radial_window(scenario)
         bulk_hi = min(r_cut, 10.0 * math.sqrt(scenario.signal_power(xi) + scenario.noise_variance))
         parts = [np.linspace(0.0, bulk_hi, 9)]
@@ -465,8 +477,8 @@ class TestEntropyLayout:
 
     def test_check_refines_a_coarse_ring(self, snr_scenario, monkeypatch):
         # 4 ring panels under-resolve the clip ring at some points; the
-        # 12-node check must see that and split panels there rather than
-        # hand back the 8-node value
+        # 7-node Gauss check must see that and split panels there rather
+        # than hand back the Kronrod value
         points = [(float(x), snr_scenario(g)) for g, x in self.GRID_351]
         default = [entropy_y(x, sc) for x, sc in points]
         monkeypatch.setattr(se_engine, "_entropy_edges", self.coarse_edges)
@@ -583,7 +595,7 @@ class TestLoadingOptimizer:
 
     def test_exact_maximum_frozen(self, scenario):
         xi = xi_se_max(scenario)
-        assert xi == pytest.approx(0.4086167313, rel=1e-8)
+        assert xi == pytest.approx(0.4086167398, rel=1e-8)
         assert se(xi, scenario) == pytest.approx(15.2019663052, rel=1e-10)
 
     def test_methods_land_within_twenty_percent(self, scenario):

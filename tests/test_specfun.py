@@ -16,7 +16,7 @@ from ofdmsee import (
     marcum_q1,
     marcum_q1_complement,
 )
-from ofdmsee.specfun import _BLOCK_ROWS
+from ofdmsee.specfun import _BLOCK_ROWS, _GK15
 
 
 def scipy_marcum_q1(a, b):
@@ -92,7 +92,7 @@ class TestMarcumQ1:
         assert np.array_equal(got, one)
 
     def test_array_b_matches_scalar_b(self):
-        # one b per entry of a, several entries per b and the a + 16 < b
+        # one b per entry of a, several entries per b and the b - a > 9
         # shortcut among them: each value is the one a call with that entry
         # alone gives, wherever it sits in the array
         rng = np.random.default_rng(5)
@@ -100,7 +100,7 @@ class TestMarcumQ1:
         a = np.abs(b + rng.uniform(-25.0, 45.0, size=b.shape))
         got = marcum_q1_complement(a, b)
         assert got.shape == a.shape
-        assert (a + 16.0 < b).any() and got[a + 16.0 < b].min() == 1.0
+        assert (a + 9.0 < b).any() and got[a + 9.0 < b].min() == 1.0
         one = [marcum_q1_complement(float(ai), float(bi)) for ai, bi in zip(a.ravel(), b.ravel())]
         assert np.array_equal(got.ravel(), one)
         # a column of b broadcasts along the rows of a
@@ -122,17 +122,29 @@ class TestMarcumQ1:
 
     @pytest.mark.parametrize("b", [30.0, 300.0])
     def test_complement_is_one_below_the_ridge_window(self, b):
-        # rows with a more than 16 below b (Q1 < e^-128 there) skip the
+        # rows with a more than 9 below b (Q1 < 3e-18 there) skip the
         # integral and read exactly 1; rows just either side of that boundary
         # agree with scipy
-        a = b - np.asarray([b, 25.0, 16.1, 16.0 + 1e-9, 16.0, 16.0 - 1e-9, 15.9, 10.0])
+        a = b - np.asarray([b, 25.0, 9.1, 9.0 + 1e-9, 9.0, 9.0 - 1e-9, 8.9, 5.0])
         got = marcum_q1_complement(a, b)
-        shortcut = a + 16.0 < b
+        shortcut = a + 9.0 < b
         assert shortcut.sum() == 4
         assert np.all(got[shortcut] == 1.0)
         ref = scipy.stats.ncx2.cdf(b * b, df=2, nc=a * a)
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
-        assert marcum_q1(b - 16.1, b) == 0.0
+        assert marcum_q1(b - 9.1, b) == 0.0
+
+    @pytest.mark.parametrize("b", [9.5, 30.0, 300.0, 3000.0, 1e5])
+    def test_cut_lies_past_the_rounding_bound(self, b):
+        # the cut rests on Q1(a, b) <= exp(-(b - a)^2 / 2), which at b - a = 9
+        # is already below half an ulp of 1.0, so 1 - Q1 rounds to exactly 1
+        a = np.linspace(max(0.0, b - 12.0), b - 9.0, 31)
+        bound = np.exp(-0.5 * (b - a) ** 2)
+        assert bound.max() < 2.0**-54 and 1.0 - bound.max() == 1.0
+        # equality at a = 0, where Q1(0, b) = exp(-b^2 / 2): allow scipy's rounding
+        q = scipy.stats.ncx2.sf(b * b, df=2, nc=a * a)
+        assert np.all(q <= bound * (1.0 + 1e-12)), (a[np.argmax(q / bound)], (q / bound).max())
+        assert np.all(marcum_q1_complement(a[:-1], b) == 1.0)
 
     def test_complement_tiny_tail_region(self):
         # far into the right tail Q1 -> 1 and the complement must stay
@@ -212,3 +224,27 @@ class TestQuadrature:
             gauss_panels(f, np.asarray([0.0, 1.0]), order=32, tol=1e-14)
         assert math.isfinite(info.value.estimate)
         assert info.value.error_bound > 0.0
+
+    @pytest.mark.parametrize("order", [1, 0, -2])
+    def test_gauss_panels_rejects_order_below_two(self, order):
+        # at order 1 the check rule has 1 + 1 // 2 = 1 node, the rule itself:
+        # on this oscillating integrand (true value -1.2e-5) it once returned
+        # 0.2668 without a word
+        f = lambda x: np.exp(-np.asarray(x) ** 2) * np.cos(8.0 * np.asarray(x))
+        with pytest.raises(ValueError, match="order >= 2"):
+            gauss_panels(f, np.asarray([0.0, 3.0]), order=order, tol=1e-12)
+
+    def test_gauss_kronrod_table(self):
+        # the 15-node Kronrod rule is exact for x^k up to k = 23 and its
+        # embedded 7-node Gauss rule up to k = 13; each misses at the next
+        # even degree, and each weight set sums to 2, the length of [-1, 1]
+        nodes, kronrod, gauss = _GK15
+        assert nodes.size == 15 and np.all(np.diff(nodes) > 0)
+        assert np.count_nonzero(gauss) == 7 and np.all(gauss[::2] == 0.0)
+        for weights, degree in ((kronrod, 23), (gauss, 13)):
+            assert weights.sum() == pytest.approx(2.0, abs=1e-15)
+            for k in range(degree + 1):
+                exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+                assert weights @ nodes**k == pytest.approx(exact, abs=1e-15), (degree, k)
+            miss = degree + 1
+            assert abs(weights @ nodes**miss - 2.0 / (miss + 1)) > 1e-12, degree
