@@ -6,7 +6,6 @@ efficiency frontier with and without switch hardware penalties.
 """
 
 import argparse
-from dataclasses import replace
 
 import numpy as np
 
@@ -41,7 +40,7 @@ def main():
 
     low, high = make_arm(args.pa_low, "macro"), make_arm(args.pa_high, "macro")
     config = PasConfig(pa_low=low, pa_high=high, frame_length=0.01, frame_count=20,
-                       kappa=0.5, insertion_loss_db=args.gs_db, switching_time=1e-5,
+                       insertion_loss_db=args.gs_db, switching_time=1e-5,
                        duplex=Duplex(args.duplex))
 
     print(f"arms: {low.spec.model_name} ({low.spec.p_max_out:.1f} W, standing "
@@ -51,9 +50,8 @@ def main():
 
     print("\nframe split kappa -> schedule SE and EE at xi=0.25")
     for kappa in np.linspace(0.0, 1.0, 6):
-        cfg = replace(config, kappa=kappa)
-        print(f"  kappa={kappa:4.2f}  SE={pas_se(0.25, cfg):7.4f} b/s/Hz  "
-              f"EE={pas_ee(0.25, cfg):12.1f} b/J")
+        print(f"  kappa={kappa:4.2f}  SE={pas_se(0.25, kappa, config):7.4f} b/s/Hz  "
+              f"EE={pas_ee(0.25, kappa, config):12.1f} b/J")
 
     grid = np.geomspace(0.02, 1.0, 24)
     hi_curve = ee_sweep(high.scenario, high.power, grid)

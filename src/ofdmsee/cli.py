@@ -440,7 +440,6 @@ def _cmd_pas_frontier(args):
             pa_high=high,
             frame_length=args.frame_length,
             frame_count=args.frames,
-            kappa=0.0,
             insertion_loss_db=gs_db,
             switching_time=eps,
             duplex=duplex,

@@ -59,6 +59,9 @@ _BLOCK_SAMPLES = 65536
 # (false alarm about 4*e^-30 = 4e-13 per sample)
 _PHASE_HARMONICS = 4
 _PHASE_STAT_MAX = 30.0
+# estimate_mi's neighbor order, and the points of each of analytic_radial_cdf's two grids
+_KNN_K = 4
+_CDF_GRID = 8001
 
 
 class EstimatorError(RuntimeError):
@@ -233,12 +236,12 @@ def _kth_neighbor_distances(pts, k):
     return eps
 
 
-def estimate_mi(samples, scenario, k=4):
+def estimate_mi(samples, scenario):
     """Mutual-information estimate from received samples, b/s/Hz.
 
-    Nearest-neighbor (k-th neighbor) differential entropy of the 2-D
-    real/imag cloud minus the noise entropy. The estimator is asymptotically
-    unbiased; k trades variance against small-sample bias. It assumes no
+    Nearest-neighbor differential entropy of the 2-D real/imag cloud, from
+    each point's distance to its _KNN_K-th nearest neighbor, minus the noise
+    entropy. The estimator is asymptotically unbiased. It assumes no
     symmetry of the sample, so it is the independent oracle for
     estimate_mi_radial, at about 2.5 s per 1e6 samples on 2 cores, of
     which about 0.9 s builds the k-d tree.
@@ -246,12 +249,12 @@ def estimate_mi(samples, scenario, k=4):
     y = np.asarray(samples).ravel()
     if y.size < 100:
         raise EstimatorError("too few samples for a stable entropy estimate")
-    eps = _kth_neighbor_distances(np.column_stack([y.real, y.imag]), k)
+    eps = _kth_neighbor_distances(np.column_stack([y.real, y.imag]), _KNN_K)
     if np.any(eps <= 0.0):
         raise EstimatorError(
             "degenerate samples (duplicate points); the entropy estimate is undefined"
         )
-    h_nats = digamma(y.size) - digamma(k) + math.log(math.pi) + 2.0 * float(np.mean(np.log(eps)))
+    h_nats = digamma(y.size) - digamma(_KNN_K) + math.log(math.pi) + 2.0 * float(np.mean(np.log(eps)))
     h_bits = h_nats / LN2
     return h_bits - noise_entropy(scenario)
 
@@ -327,18 +330,18 @@ def estimate_mi_radial(samples, scenario):
     return _mi_from_sorted(y, r, scenario)
 
 
-def analytic_radial_cdf(xi, scenario, n_grid=8001):
+def analytic_radial_cdf(xi, scenario):
     """CDF of the received amplitude implied by the analytic density.
 
-    Returns (radii, cdf) on a grid dense enough to resolve the clip ring;
-    beyond the last radius the CDF is 1 up to a tail below 1e-9. The density
-    is pdf_radial, the same one se() integrates; a Kolmogorov-Smirnov check
-    against it is independent through the simulated samples.
+    Returns (radii, cdf) on _CDF_GRID radii over [0, r_cut] and as many over
+    the clip ring; beyond the last radius the CDF is 1 up to a tail below
+    1e-9. The density is pdf_radial, the same one se() integrates; a
+    Kolmogorov-Smirnov check against it is independent through the samples.
     """
     ring_lo, r_cut = _radial_window(scenario)
     grid = np.unique(
         np.concatenate(
-            [np.linspace(0.0, r_cut, n_grid), np.linspace(ring_lo, r_cut, n_grid)]
+            [np.linspace(0.0, r_cut, _CDF_GRID), np.linspace(ring_lo, r_cut, _CDF_GRID)]
         )
     )
     dens = 2.0 * math.pi * grid * pdf_radial(grid, xi, scenario)

@@ -227,7 +227,7 @@ def embedded_datasheet():
     return specs
 
 
-def _parse_cell(row, key, required, where):
+def _parse_cell(row, key, required):
     raw = (row.get(key) or "").strip()
     if raw in ("", "--", "-", "NA", "na", "None"):
         if required:
@@ -268,12 +268,12 @@ def load_datasheet(source):
             try:
                 if not model:
                     raise ValueError("missing mandatory field 'model'")
-                pout = _parse_cell(row, "p_max_out_dBm", True, where)
-                gdb = _parse_cell(row, "gain_dB", True, where)
-                volts = _parse_cell(row, "voltage_V", False, where)
-                ma = _parse_cell(row, "current_mA", False, where)
-                pin = _parse_cell(row, "p_max_in_dBm", False, where)
-                ton = _parse_cell(row, "turn_on_us", False, where)
+                pout = _parse_cell(row, "p_max_out_dBm", True)
+                gdb = _parse_cell(row, "gain_dB", True)
+                volts = _parse_cell(row, "voltage_V", False)
+                ma = _parse_cell(row, "current_mA", False)
+                pin = _parse_cell(row, "p_max_in_dBm", False)
+                ton = _parse_cell(row, "turn_on_us", False)
                 # PaSpec rejects NaN, inf and non-positive ratings
                 specs.append(_build_spec(model, pout, gdb, volts, ma, pin, ton, where))
             except ValueError as exc:

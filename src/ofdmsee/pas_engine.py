@@ -81,20 +81,20 @@ def switched_arm(spec, scenario, preset):
 
 @dataclass(frozen=True)
 class PasConfig:
-    """A two-amplifier switching schedule.
+    """A two-amplifier switching transmitter.
 
-    kappa is the time-sharing fraction of arm 1 (pa_low); it is quantized to
-    the frame lattice F_ind/K since frames are atomic. The switching dead
-    time applies once per K-frame window and only when both arms are
-    actually used in FDD mode; TDD switches between frames for free (the
-    insertion loss still applies).
+    The arms, the K-frame window, the switch's insertion loss and dead time,
+    and the duplex mode; a schedule on it is a share kappa of the window for
+    arm 1 (pa_low) and a loading, the arguments of pas_se and pas_ee. The
+    switching dead time applies once per K-frame window and only when both
+    arms are actually used in FDD mode; TDD switches between frames for free
+    (the insertion loss still applies).
     """
 
     pa_low: PaArm
     pa_high: PaArm
     frame_length: float
     frame_count: int
-    kappa: float
     insertion_loss_db: float = 0.0
     switching_time: float = 0.0
     duplex: Duplex = Duplex.FDD
@@ -106,24 +106,8 @@ class PasConfig:
         check_positive("frame_length", self.frame_length)
         if not isinstance(self.frame_count, (int, np.integer)) or self.frame_count < 1:
             raise ValueError("frame_count must be a positive integer")
-        if not (math.isfinite(self.kappa) and 0.0 <= self.kappa <= 1.0):
-            raise ValueError("kappa must lie in [0, 1]")
         check_nonnegative("insertion_loss_db", self.insertion_loss_db)
         check_nonnegative("switching_time", self.switching_time)
-
-    @property
-    def f_ind(self):
-        """Frames assigned to arm 1 (nearest-integer split of kappa*K)."""
-        return int(round(self.kappa * self.frame_count))
-
-    @property
-    def kappa_quantized(self):
-        return self.f_ind / self.frame_count
-
-    @property
-    def eps_eff(self):
-        """Effective switching dead time: zero in TDD and for one-arm schedules."""
-        return float(_dead_time(self, self.kappa_quantized))
 
 
 def _dead_time(config, kappa):
@@ -178,8 +162,11 @@ def _schedule(config, kappa, se1, se2, pc1, pc2):
     return pref * mix, pref * config.pa_low.scenario.bandwidth * mix / rate
 
 
-def _pas_point(xi, config):
-    # a scalar loading drives both arms; a pair assigns (low, high)
+def _pas_point(xi, kappa, config):
+    # a scalar loading drives both arms; a pair assigns (low, high); kappa
+    # goes to the nearest point of the frame lattice, since frames are atomic
+    if not (math.isfinite(kappa) and 0.0 <= kappa <= 1.0):
+        raise ValueError("kappa must lie in [0, 1]")
     pair = tuple(xi) if isinstance(xi, (tuple, list)) else (xi, xi)
     if len(pair) != 2:
         raise ValueError("per-arm loading needs exactly two entries")
@@ -188,7 +175,7 @@ def _pas_point(xi, config):
     n = config.n_ways
     se_val, ee_val = _schedule(
         config,
-        config.kappa_quantized,
+        round(kappa * config.frame_count) / config.frame_count,
         se(x1, s1),
         se(x2, s2),
         pc_nonlinear(x1, config.pa_low.power, n_ways=n),
@@ -197,24 +184,26 @@ def _pas_point(xi, config):
     return float(se_val), float(ee_val)
 
 
-def pas_se(xi, config):
+def pas_se(xi, kappa, config):
     """Schedule spectral efficiency, b/s/Hz.
 
     Frame-weighted mix of the two per-arm efficiencies (insertion loss
     applied), derated by the dead-time prefactor K*T/(K*T + eps). xi is one
-    shared loading or a (low, high) pair.
+    shared loading or a (low, high) pair; kappa in [0, 1] is arm 1's share
+    of the window, rounded to the frame lattice round(kappa*K)/K.
     """
-    return _pas_point(xi, config)[0]
+    return _pas_point(xi, kappa, config)[0]
 
 
-def pas_ee(xi, config):
-    """Schedule energy efficiency, bits per joule.
+def pas_ee(xi, kappa, config):
+    """Schedule energy efficiency, bits per joule, at loading xi and arm-1
+    share kappa, taken as in pas_se.
 
     Bits delivered over the K-frame window divided by the energy drawn over
     the elapsed window (dead time charged at the schedule's time-average
     draw; the switch itself draws nothing).
     """
-    return _pas_point(xi, config)[1]
+    return _pas_point(xi, kappa, config)[1]
 
 
 @dataclass(frozen=True)

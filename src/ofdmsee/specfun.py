@@ -1,14 +1,16 @@
 """Special functions and quadrature used by the analytic link formulas.
 
 The exponentially scaled modified Bessel function I0 (scipy's i0e), the
-first-order Marcum Q function as one cumulative integral of its derivative
-in the noncentrality (scipy's i1e), both real branches of the Lambert W
-function, and fixed panels with an embedded error check for vectorized
-integrands (a Gauss-Legendre pair, or the Gauss-Kronrod 7/15 pair of the
-entropy quadrature), one integral at a time or a batch of them from one call
-of the integrand per pass. The Marcum Q1 complement is the package's one
-Bessel-kernel integral: the unclipped received density in se_engine is a
-Gaussian times it.
+complement 1 - Q1 of the first-order Marcum Q function as one cumulative
+integral of its derivative in the noncentrality (scipy's i1e), both real
+branches of the Lambert W function, and fixed panels with an embedded error
+check for vectorized integrands (a Gauss-Legendre pair, or the Gauss-Kronrod
+7/15 pair of the entropy quadrature), one integral at a time or a batch of
+them from one call of the integrand per pass. The Marcum Q1 complement is
+the package's one Bessel-kernel integral: the unclipped received density in
+se_engine is a Gaussian times it. gauss_panels, one integral by the
+Gauss-Legendre pair, has no caller in the package and is not exported: the
+tests use it as an independent quadrature.
 """
 
 import enum
@@ -23,10 +25,8 @@ __all__ = [
     "WBranch",
     "IntegrationError",
     "bessel_i0e",
-    "marcum_q1",
     "marcum_q1_complement",
     "lambert_w",
-    "gauss_panels",
 ]
 
 
@@ -100,7 +100,7 @@ def marcum_q1_complement(a, b):
     arr = np.asarray(a, dtype=float).ravel()
     bb = np.asarray(b, dtype=float)
     if not all(np.all(np.isfinite(v) & (v >= 0.0)) for v in (arr, bb)):
-        raise ValueError("marcum_q1 requires finite a, b >= 0")
+        raise ValueError("marcum_q1_complement requires finite a, b >= 0")
     bb = np.broadcast_to(bb, np.shape(a)).ravel()
     out = np.ones(arr.shape)
     edge = np.flatnonzero(arr + _ONE_CUT >= bb)
@@ -133,15 +133,6 @@ def marcum_q1_complement(a, b):
                 c[rows] += half[rows] * np.einsum("in,n->i", vals, w)
         out[edge] = np.clip(c, 0.0, 1.0)
     return scalar_like(a, out.reshape(np.shape(a)))
-
-
-def marcum_q1(a, b):
-    """First-order Marcum Q function Q1(a, b) = 1 - marcum_q1_complement(a, b).
-
-    Accurate in absolute terms (about 1e-14); a Q1 far below that, deep in
-    the upper tail b >> a, reads as 0, and it is exactly 0 for b - a > 9.
-    """
-    return 1.0 - marcum_q1_complement(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,8 @@ def sized_links(draw):
 
 @st.composite
 def one_arm_schedules(draw):
-    """(xi, config, arm): a two-arm schedule whose kappa (0 or 1) runs one
-    arm full time, with any insertion loss, duplex and dead time."""
+    """(xi, kappa, config, arm): a two-arm schedule whose kappa (0 or 1) runs
+    one arm full time, with any insertion loss, duplex and dead time."""
     low, high = (switched_arm(*draw(pa_links()), BS_PRESETS[draw(presets)]) for _ in range(2))
     kappa = draw(st.sampled_from([0.0, 1.0]))
     config = PasConfig(
@@ -101,13 +101,12 @@ def one_arm_schedules(draw):
         pa_high=high,
         frame_length=0.01,
         frame_count=draw(st.integers(min_value=1, max_value=40)),
-        kappa=kappa,
         insertion_loss_db=draw(st.floats(min_value=0.0, max_value=3.0)),
         switching_time=draw(st.floats(min_value=0.0, max_value=1e-3)),
         duplex=draw(st.sampled_from(Duplex)),
         n_ways=draw(ways),
     )
-    return draw(loadings), config, low if kappa == 1.0 else high
+    return draw(loadings), kappa, config, low if kappa == 1.0 else high
 
 
 @SETTINGS
@@ -128,9 +127,9 @@ def test_one_arm_schedule_is_that_arms_ee(schedule):
     # no dead time is charged and the idle arm draws nothing, so the
     # schedule's EE is the single-amplifier EE of the running arm on its
     # link with the switch's insertion loss folded in
-    xi, config, arm = schedule
+    xi, kappa, config, arm = schedule
     lossy = pa_with_loss(arm.scenario, config.insertion_loss_db)
-    assert pas_ee(xi, config) == ee(xi, lossy, arm.power, n_ways=config.n_ways)
+    assert pas_ee(xi, kappa, config) == ee(xi, lossy, arm.power, n_ways=config.n_ways)
 
 
 # each example costs about three se() evaluations per loading

@@ -77,6 +77,27 @@ def test_no_function_takes_a_method_parameter():
     assert found == []
 
 
+def test_every_parameter_is_read():
+    # a parameter the body never reads is a knob that does nothing; self,
+    # cls and _-prefixed names are exempt, as they fill a fixed signature
+    idle = []
+    for path in sorted(Path(ofdmsee.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                read = {
+                    sub.id for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                }
+                for param in params:
+                    if param is None or param.arg in ("self", "cls") or param.arg.startswith("_"):
+                        continue
+                    if param.arg not in read:
+                        idle.append(f"{path.name}:{node.lineno} {param.arg}")
+    assert idle == []
+
+
 def test_every_import_is_used_or_exported():
     # a name a module imports but never reads nor re-exports is dead weight
     unused = []

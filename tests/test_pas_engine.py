@@ -21,7 +21,7 @@ from ofdmsee import (
 )
 
 
-def pas_ee_harmonic(xi, config):
+def pas_ee_harmonic(xi, kappa, config):
     """Schedule EE by the weighted-combination form, an oracle for pas_ee.
 
     K*T*BW*pas_se over the frame-weighted active energy: algebraically equal
@@ -31,10 +31,10 @@ def pas_ee_harmonic(xi, config):
     pc1 = pc_nonlinear(xi, config.pa_low.power, n_ways=config.n_ways)
     pc2 = pc_nonlinear(xi, config.pa_high.power, n_ways=config.n_ways)
     t = config.frame_length
-    f1 = config.f_ind
+    f1 = round(kappa * config.frame_count)
     f2 = config.frame_count - f1
     kt = config.frame_count * t
-    num = kt * config.pa_low.scenario.bandwidth * pas_se(xi, config)
+    num = kt * config.pa_low.scenario.bandwidth * pas_se(xi, kappa, config)
     return num / (f1 * t * pc1 + f2 * t * pc2)
 
 
@@ -45,7 +45,6 @@ def base_config(arm_low, arm_high):
         pa_high=arm_high,
         frame_length=0.01,
         frame_count=20,
-        kappa=0.65,
         insertion_loss_db=1.0,
         switching_time=1e-5,
         duplex=Duplex.FDD,
@@ -54,27 +53,22 @@ def base_config(arm_low, arm_high):
 
 class TestConfig:
     def test_schedule_quantization(self, base_config):
-        assert base_config.f_ind == 13
-        assert base_config.kappa_quantized == pytest.approx(0.65)
-        cfg = replace(base_config, kappa=0.633)
-        assert cfg.f_ind == 13  # rounds to the nearest frame count
+        # 0.633 * 20 = 12.66 rounds to 13 of 20 frames, the lattice point 0.65
+        for pas in (pas_se, pas_ee):
+            assert pas(0.3, 0.633, base_config) == pas(0.3, 0.65, base_config)
+            assert pas((0.4, 0.15), 0.633, base_config) == pas((0.4, 0.15), 0.65, base_config)
 
-    def test_switch_overhead_vanishes_for_tdd(self, base_config):
-        cfg = replace(base_config, duplex=Duplex.TDD)
-        assert cfg.eps_eff == 0.0
-
-    def test_switch_overhead_vanishes_for_pure_schedules(self, base_config):
-        for kappa in (0.0, 1.0):
-            cfg = replace(base_config, kappa=kappa)
-            assert cfg.eps_eff == 0.0
+    @pytest.mark.parametrize("kappa", [-0.1, 1.5, math.nan])
+    def test_share_outside_the_window_rejected(self, base_config, kappa):
+        for pas in (pas_se, pas_ee):
+            with pytest.raises(ValueError, match="kappa"):
+                pas(0.3, kappa, base_config)
 
     def test_duplex_coerces_from_string(self, base_config):
         cfg = replace(base_config, duplex="tdd")
         assert cfg.duplex is Duplex.TDD
 
     def test_validation(self, base_config):
-        with pytest.raises(ValueError):
-            replace(base_config, kappa=1.5)
         with pytest.raises(ValueError):
             replace(base_config, frame_count=0)
         with pytest.raises(ValueError):
@@ -109,21 +103,19 @@ class TestInsertionLoss:
 
 class TestScheduleAverages:
     def test_pure_low_schedule_is_the_low_arm(self, base_config):
-        cfg = replace(base_config, kappa=1.0)
-        lossy = pa_with_loss(cfg.pa_low.scenario, cfg.insertion_loss_db)
-        assert pas_se(0.3, cfg) == pytest.approx(se(0.3, lossy), rel=1e-12)
+        lossy = pa_with_loss(base_config.pa_low.scenario, base_config.insertion_loss_db)
+        assert pas_se(0.3, 1.0, base_config) == pytest.approx(se(0.3, lossy), rel=1e-12)
 
     def test_pure_high_schedule_is_the_high_arm(self, base_config):
-        cfg = replace(base_config, kappa=0.0)
-        lossy = pa_with_loss(cfg.pa_high.scenario, cfg.insertion_loss_db)
-        assert pas_se(0.3, cfg) == pytest.approx(se(0.3, lossy), rel=1e-12)
+        lossy = pa_with_loss(base_config.pa_high.scenario, base_config.insertion_loss_db)
+        assert pas_se(0.3, 0.0, base_config) == pytest.approx(se(0.3, lossy), rel=1e-12)
 
     def test_se_is_time_share_between_arms(self, base_config):
         cfg = replace(base_config, duplex=Duplex.TDD)  # no dead-time prefactor
         lo = pa_with_loss(cfg.pa_low.scenario, 1.0)
         hi = pa_with_loss(cfg.pa_high.scenario, 1.0)
         want = 0.65 * se(0.3, lo) + 0.35 * se(0.3, hi)
-        assert pas_se(0.3, cfg) == pytest.approx(want, rel=1e-12)
+        assert pas_se(0.3, 0.65, cfg) == pytest.approx(want, rel=1e-12)
 
     def test_dead_time_prefactor(self, base_config):
         # eps = 10 us against a 200 ms window scales SE by 20000/20001
@@ -131,41 +123,41 @@ class TestScheduleAverages:
         fdd = base_config
         k, t, eps = 20, 0.01, 1e-5
         want = (k * t) / (k * t + eps)
-        assert pas_se(0.3, fdd) / pas_se(0.3, tdd) == pytest.approx(want, rel=1e-12)
+        assert pas_se(0.3, 0.65, fdd) / pas_se(0.3, 0.65, tdd) == pytest.approx(want, rel=1e-12)
 
     def test_ee_equals_harmonic_combination(self, base_config):
         for kappa in (0.0, 0.2, 0.65, 1.0):
             for eps in (0.0, 1e-5, 1e-3):
-                cfg = replace(base_config, kappa=kappa, switching_time=eps)
-                direct = pas_ee(0.3, cfg)
-                harmonic = pas_ee_harmonic(0.3, cfg)
+                cfg = replace(base_config, switching_time=eps)
+                direct = pas_ee(0.3, kappa, cfg)
+                harmonic = pas_ee_harmonic(0.3, kappa, cfg)
                 assert direct == pytest.approx(harmonic, rel=1e-12), (kappa, eps)
 
     def test_switched_off_arm_draws_nothing(self, base_config, arm_low, arm_high):
         # a one-arm schedule is charged only its active amplifier's draw,
         # standing draw included: the other arm's p_fix is switched off
         for kappa, arm in ((1.0, arm_low), (0.0, arm_high)):
-            cfg = replace(base_config, kappa=kappa)
             alone = ee_sweep(pa_with_loss(arm.scenario, 1.0), arm.power, [0.3])
-            assert pas_ee(0.3, cfg) == pytest.approx(alone["ee_exact"][0], rel=1e-12), kappa
+            want = alone["ee_exact"][0]
+            assert pas_ee(0.3, kappa, base_config) == pytest.approx(want, rel=1e-12), kappa
 
     def test_ee_decreases_with_dead_time(self, base_config):
         es = (0.0, 1e-5, 1e-4, 1e-3)
-        vals = [pas_ee(0.3, replace(base_config, switching_time=e)) for e in es]
+        vals = [pas_ee(0.3, 0.65, replace(base_config, switching_time=e)) for e in es]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_tdd_never_worse_than_fdd(self, base_config):
         fdd = replace(base_config, switching_time=1e-3)
         tdd = replace(fdd, duplex=Duplex.TDD)
-        assert pas_ee(0.3, tdd) >= pas_ee(0.3, fdd)
-        assert pas_se(0.3, tdd) >= pas_se(0.3, fdd)
+        assert pas_ee(0.3, 0.65, tdd) >= pas_ee(0.3, 0.65, fdd)
+        assert pas_se(0.3, 0.65, tdd) >= pas_se(0.3, 0.65, fdd)
 
     def test_per_arm_loadings(self, base_config):
         cfg = replace(base_config, duplex=Duplex.TDD)
         lo = pa_with_loss(cfg.pa_low.scenario, 1.0)
         hi = pa_with_loss(cfg.pa_high.scenario, 1.0)
         want = 0.65 * se(0.4, lo) + 0.35 * se(0.15, hi)
-        assert pas_se((0.4, 0.15), cfg) == pytest.approx(want, rel=1e-12)
+        assert pas_se((0.4, 0.15), 0.65, cfg) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +167,6 @@ def tdd_clean(arm_low, arm_high):
         pa_high=arm_high,
         frame_length=0.01,
         frame_count=20,
-        kappa=0.0,
         insertion_loss_db=0.0,
         switching_time=0.0,
         duplex=Duplex.TDD,
@@ -253,9 +244,8 @@ class TestFrontier:
         feasible = [p for p in pts if p.feasible]
         assert feasible
         for p in feasible:
-            at = replace(cfg, kappa=p.kappa)
-            assert pas_se((p.xi1, p.xi2), at) == p.se, p
-            assert pas_ee((p.xi1, p.xi2), at) == p.ee, p
+            assert pas_se((p.xi1, p.xi2), p.kappa, cfg) == p.se, p
+            assert pas_ee((p.xi1, p.xi2), p.kappa, cfg) == p.ee, p
 
     def test_bad_mode_rejected(self, tdd_clean, grid):
         with pytest.raises(ValueError):
@@ -270,8 +260,10 @@ def schedule_candidates(config, xis, xi_mode):
     out = []
     with se_memo():
         for k in range(config.frame_count + 1):
-            at = replace(config, kappa=k / config.frame_count)
-            out.extend((pas_se(pair, at), pas_ee(pair, at), at.kappa, *pair) for pair in pairs)
+            kappa = k / config.frame_count
+            out.extend(
+                (pas_se(pair, kappa, config), pas_ee(pair, kappa, config), kappa, *pair) for pair in pairs
+            )
     return out
 
 

@@ -77,6 +77,18 @@ def interior(r, xi, scenario):
     return rho_star + 16.0 * math.sqrt(gp * s2 / (2.0 * (gp + s2))) < scenario.b_max
 
 
+def partial_rows(r, xi, scenario):
+    """Radii whose Marcum complement integrates a partial panel (a + 9 >= b,
+    the rows marcum_q1_complement works on in blocks), with a and b as
+    pdf_unclipped forms them."""
+    gp = scenario.signal_power(xi)
+    s2 = scenario.noise_variance
+    total = gp + s2
+    a = np.asarray(r, dtype=float) * math.sqrt(2.0 * gp / (total * s2))
+    b = scenario.b_max * math.sqrt(2.0 * total / (gp * s2))
+    return a + specfun._ONE_CUT >= b
+
+
 def untruncated_gaussian(r, xi, scenario):
     total = scenario.signal_power(xi) + scenario.noise_variance
     return np.exp(-(r**2) / total) / (math.pi * total)
@@ -247,8 +259,15 @@ class TestRadialPdf:
 
     @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 1000])
     def test_blocked_radii_match_scalar_calls(self, n, scenario):
+        # a few interior radii, then n radii past the start of the partial
+        # panels (0.98266 b_max at xi = 0.3): n partial rows, on either side
+        # of the block size
         xi = 0.3
-        r = np.linspace(0.0, 1.2 * scenario.b_max, n)
+        b_max = scenario.b_max
+        r = np.concatenate(
+            [np.linspace(0.0, 0.5 * b_max, 4), np.linspace(0.99 * b_max, 1.2 * b_max, n)]
+        )
+        assert np.count_nonzero(partial_rows(r, xi, scenario)) == n
         inside = interior(r, xi, scenario)
         # one call mixes closed-form and quadrature rows
         assert inside.any() and (n == 1 or not inside.all())
