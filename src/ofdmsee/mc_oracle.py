@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from ._common import LN2, check_loading
 from .pa_models import RappParams, rapp
@@ -246,6 +245,11 @@ def estimate_mi(samples, scenario):
     estimate_mi_radial, at about 2.5 s per 1e6 samples on 2 cores, of
     which about 0.9 s builds the k-d tree.
     """
+    # imported here, as cKDTree is: scipy.special adds about a quarter
+    # second to importing the package, which needs it only for small Bessel
+    # arguments (see specfun)
+    from scipy.special import digamma
+
     y = np.asarray(samples).ravel()
     if y.size < 100:
         raise EstimatorError("too few samples for a stable entropy estimate")

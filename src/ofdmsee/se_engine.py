@@ -155,7 +155,7 @@ def build_scenario(g_db, alpha, d_km, noise_psd_dbm_hz, bandwidth, spec):
 
 def _as_radii(r):
     arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr < 0.0)):
+    if not (np.isfinite(arr).all() and (arr >= 0.0).all()):
         raise ValueError("radii must be finite and non-negative")
     return arr
 

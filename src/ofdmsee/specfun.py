@@ -1,23 +1,28 @@
 """Special functions and quadrature used by the analytic link formulas.
 
-The exponentially scaled modified Bessel function I0 (scipy's i0e), the
-complement 1 - Q1 of the first-order Marcum Q function as one cumulative
-integral of its derivative in the noncentrality (scipy's i1e), both real
-branches of the Lambert W function, and fixed panels with an embedded error
-check for vectorized integrands (a Gauss-Legendre pair, or the Gauss-Kronrod
-7/15 pair of the entropy quadrature), one integral at a time or a batch of
-them from one call of the integrand per pass. The Marcum Q1 complement is
-the package's one Bessel-kernel integral: the unclipped received density in
-se_engine is a Gaussian times it. gauss_panels, one integral by the
-Gauss-Legendre pair, has no caller in the package and is not exported: the
-tests use it as an independent quadrature.
+The exponentially scaled modified Bessel functions e^{-|x|} I0(x) and
+e^{-x} I1(x), the complement 1 - Q1 of the first-order Marcum Q function as
+one cumulative integral of its derivative in the noncentrality (an I1
+kernel), both real branches of the Lambert W function, and fixed panels with
+an embedded error check for vectorized integrands (a Gauss-Legendre pair, or
+the Gauss-Kronrod 7/15 pair of the entropy quadrature), one integral at a
+time or a batch of them from one call of the integrand per pass. The Marcum
+Q1 complement is the package's one Bessel-kernel integral: the unclipped
+received density in se_engine is a Gaussian times it. gauss_panels, one
+integral by the Gauss-Legendre pair, has no caller in the package and is not
+exported: the tests use it as an independent quadrature.
+
+The two Bessel kernels sum the Hankel expansion from argument 50 up, within
+3 ulp of scipy.special's i0e and i1e, and call those ufuncs below 50.
+Importing scipy.special takes about a quarter second, so the kernels import
+it on the first call with an argument below 50, and a run whose arguments
+all lie above never loads it.
 """
 
 import enum
 import math
 
 import numpy as np
-from scipy.special import i0e as bessel_i0e, i1e as bessel_i1e  # e^{-|x|} I0(x), I1(x)
 
 from ._common import scalar_like
 
@@ -60,6 +65,84 @@ def _leggauss(order):
 
 
 # ---------------------------------------------------------------------------
+# Scaled Bessel functions
+
+# the Hankel expansion serves arguments in [_HANKEL_LO, _HANKEL_HI]: at 50 its
+# first omitted term, c_13 / 50^13, is below 2e-18 of the sum, and above
+# 1e300 the factor 2 pi x nears overflow (at 2.9e307)
+_HANKEL_LO = 50.0
+_HANKEL_HI = 1e300
+_HANKEL_TERMS = 13
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _hankel_coefficients(nu):
+    # c_k = prod_{j=1..k} ((2j - 1)^2 - 4 nu^2) / (k! 8^k), each rounded once
+    # from exact integers; kept as 0-d arrays, which numpy adds to an array
+    # faster than Python floats
+    return tuple(
+        np.array(
+            math.prod((2 * j - 1) ** 2 - 4 * nu * nu for j in range(1, k + 1))
+            / (math.factorial(k) * 8**k)
+        )
+        for k in range(_HANKEL_TERMS)
+    )
+
+
+_HANKEL_I0 = _hankel_coefficients(0)
+_HANKEL_I1 = _hankel_coefficients(1)
+
+
+def _hankel(x, coeffs):
+    # e^{-x} I_nu(x) = (2 pi x)^{-1/2} sum_k c_k / x^k (DLMF 10.40.1; A&S
+    # 9.7.1) for large x, by Horner on 1/x in place
+    t = 1.0 / x
+    s = coeffs[-1] * t
+    s += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        s *= t
+        s += c
+    return s / np.sqrt(_TWO_PI * x)
+
+
+def _scaled_bessel(x, coeffs, name):
+    # per element: the Hankel expansion inside its range, scipy.special's
+    # ufunc `name` outside it (small, negative, huge or NaN arguments); a
+    # call wholly on one side runs that side alone, so a value never depends
+    # on the other elements of its call
+    if not x.size:
+        return np.empty(x.shape)
+    lo, hi = x.min(), x.max()
+    if lo >= _HANKEL_LO and hi <= _HANKEL_HI:
+        return _hankel(x, coeffs)
+    import scipy.special  # first needed here; see the module docstring
+
+    kernel = getattr(scipy.special, name)
+    if hi < _HANKEL_LO or x.ndim == 0:
+        # wholly below the range, or one value outside it
+        return kernel(x)
+    inside = (x >= _HANKEL_LO) & (x <= _HANKEL_HI)
+    out = np.empty(x.shape)
+    out[inside] = _hankel(x[inside], coeffs)
+    outside = ~inside
+    out[outside] = kernel(x[outside])
+    return out
+
+
+def bessel_i0e(x):
+    """e^{-|x|} I0(x), scalar or array: scipy.special.i0e's values, within
+    3 ulp where 50 <= |x| <= 1e300 (there from the Hankel expansion)."""
+    return _scaled_bessel(np.abs(np.asarray(x, dtype=float)), _HANKEL_I0, "i0e")
+
+
+def bessel_i1e(x):
+    """e^{-|x|} I1(x), scalar or array: scipy.special.i1e's values, within
+    3 ulp where 50 <= x <= 1e300 (there from the Hankel expansion)."""
+    return _scaled_bessel(np.asarray(x, dtype=float), _HANKEL_I1, "i1e")
+
+
+# ---------------------------------------------------------------------------
 # Marcum Q1
 
 # marcum_q1_complement's lattice: panels _PANEL_H wide at b + k * _PANEL_H,
@@ -99,7 +182,7 @@ def marcum_q1_complement(a, b):
     """
     arr = np.asarray(a, dtype=float).ravel()
     bb = np.asarray(b, dtype=float)
-    if not all(np.all(np.isfinite(v) & (v >= 0.0)) for v in (arr, bb)):
+    if not ((np.isfinite(arr) & (arr >= 0.0)).all() and (np.isfinite(bb) & (bb >= 0.0)).all()):
         raise ValueError("marcum_q1_complement requires finite a, b >= 0")
     bb = np.broadcast_to(bb, np.shape(a)).ravel()
     out = np.ones(arr.shape)

@@ -163,7 +163,7 @@ class TestOptimalXi:
             name, _, rest = line.partition(": ")
             got[name] = float(rest.split()[0])
         assert list(got) == ["xi_se exact", "xi_se closed-form", "xi_ee exact", "xi_ee closed-form"]
-        assert got["xi_se exact"] == pytest.approx(0.4086167398, abs=1e-8)
+        assert got["xi_se exact"] == pytest.approx(0.4086167351, abs=1e-8)
         assert got["xi_se closed-form"] == pytest.approx(0.3399825458, abs=1e-8)
         assert got["xi_ee exact"] == pytest.approx(0.2022029441, abs=1e-8)
         assert got["xi_ee closed-form"] == pytest.approx(0.25, abs=1e-9)

@@ -2,10 +2,13 @@
 
 import ast
 import importlib
+import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import ofdmsee
 
@@ -50,18 +53,61 @@ def test_every_traced_name_resolves():
 
 
 def test_import_leaves_scipy_spatial_unloaded():
-    # only the kNN estimate_mi needs scipy.spatial, which is slow to import;
-    # scipy.optimize is slow too, and the optimizers do without it
+    # only the kNN estimate_mi needs scipy.spatial, and only small Bessel
+    # arguments need scipy.special, both slow to import; scipy.optimize is
+    # slow too, and the optimizers do without it
     src = Path(ofdmsee.__file__).resolve().parent.parent
     code = (
         "import sys, ofdmsee, ofdmsee.cli; "
-        "print([m for m in ('scipy.spatial', 'scipy.optimize') if m in sys.modules])"
+        "print([m for m in ('scipy.special', 'scipy.spatial', 'scipy.optimize') if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
         cwd=src, capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["se-sweep", "pas-frontier", "tradeoff"])
+def test_default_run_leaves_scipy_unloaded(command, tmp_path):
+    # these runs evaluate the Bessel kernels at arguments of 50 and above
+    # only, which the Hankel expansion serves without scipy
+    src = Path(ofdmsee.__file__).resolve().parent.parent
+    code = (
+        "import sys, ofdmsee.cli; "
+        "code = ofdmsee.cli.main(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')); "
+        "sys.exit(code)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code, command],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_module_level_scipy_import():
+    # scipy.special alone takes about a quarter second to import, so every
+    # scipy import sits in the function that needs it
+    def outside_functions(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+                yield from outside_functions(child)
+
+    found = []
+    for path in sorted(Path(ofdmsee.__file__).resolve().parent.glob("*.py")):
+        for node in outside_functions(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_no_function_takes_a_method_parameter():

@@ -614,7 +614,7 @@ class TestLoadingOptimizer:
 
     def test_exact_maximum_frozen(self, scenario):
         xi = xi_se_max(scenario)
-        assert xi == pytest.approx(0.4086167398, rel=1e-8)
+        assert xi == pytest.approx(0.4086167351, rel=1e-8)
         assert se(xi, scenario) == pytest.approx(15.2019663052, rel=1e-10)
 
     def test_methods_land_within_twenty_percent(self, scenario):

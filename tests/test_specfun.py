@@ -14,7 +14,15 @@ from ofdmsee import (
     lambert_w,
     marcum_q1_complement,
 )
-from ofdmsee.specfun import _BLOCK_ROWS, _GK15, gauss_panels
+from ofdmsee.specfun import _BLOCK_ROWS, _GK15, _HANKEL_HI, _HANKEL_LO, bessel_i1e, gauss_panels
+
+
+# the Hankel expansion's bound against scipy: 3 ulp of relative error
+HANKEL_RTOL = 3 * np.finfo(float).eps
+
+ORDERS = pytest.mark.parametrize(
+    "ours, ref", [(bessel_i0e, scipy.special.i0e), (bessel_i1e, scipy.special.i1e)], ids=["i0e", "i1e"]
+)
 
 
 def scipy_marcum_q1(a, b):
@@ -45,6 +53,75 @@ class TestBessel:
 
     def test_negative_argument_is_even(self):
         assert bessel_i0e(-3.0) == pytest.approx(bessel_i0e(3.0), rel=1e-14)
+        # bit for bit, either side of the Hankel cut, whatever else the call holds
+        x = np.concatenate([np.linspace(0.0, 49.9, 50), np.geomspace(_HANKEL_LO, 1e6, 50), [np.inf]])
+        assert np.array_equal(bessel_i0e(-x), bessel_i0e(x))
+        assert np.array_equal(bessel_i0e(np.concatenate([-x, x])), np.tile(bessel_i0e(x), 2))
+
+    @ORDERS
+    def test_expansion_within_three_ulp_above_the_cut(self, ours, ref):
+        # 2e5 arguments from the cut to 1e9, half of them in [50, 100], and a
+        # sparse run up to the top of the expansion's range
+        x = np.concatenate([
+            np.linspace(_HANKEL_LO, 2.0 * _HANKEL_LO, 100_000),
+            np.geomspace(2.0 * _HANKEL_LO, 1e9, 100_000),
+            np.geomspace(1e9, _HANKEL_HI, 1000),
+        ])
+        want = ref(x)
+        err = np.abs(ours(x) - want) / want
+        assert err.max() <= HANKEL_RTOL, (x[np.argmax(err)], err.max())
+
+    @ORDERS
+    def test_either_side_of_the_cut(self, ours, ref):
+        # below the cut the value is scipy's bit for bit, from the cut up it is
+        # the expansion's; whether in one call or one argument at a time
+        x = np.asarray([np.nextafter(_HANKEL_LO, 0.0), _HANKEL_LO, np.nextafter(_HANKEL_LO, np.inf)])
+        got = ours(x)
+        assert got[0] == ref(x[0])
+        np.testing.assert_allclose(got[1:], ref(x[1:]), rtol=HANKEL_RTOL, atol=0.0)
+        assert got.tolist() == [ours(float(v)) for v in x]
+
+    @ORDERS
+    def test_either_side_of_the_top(self, ours, ref):
+        # past _HANKEL_HI, where 2 pi x nears overflow, scipy takes over again
+        x = np.asarray([_HANKEL_HI, np.nextafter(_HANKEL_HI, np.inf), 1e306, np.finfo(float).max])
+        got = ours(x)
+        assert got[0] == pytest.approx(ref(x[0]), rel=HANKEL_RTOL)
+        assert np.array_equal(got[1:], ref(x[1:]))
+        assert got.tolist() == [ours(float(v)) for v in x]
+
+    @ORDERS
+    @pytest.mark.parametrize("x", [0.0, 3.0, 60.0, 1e6, -3.0, -60.0, np.inf, -np.inf, np.nan])
+    def test_scalars_return_what_scipy_returns(self, ours, ref, x):
+        for arg in (x, np.float64(x), np.asarray(x)):
+            got, want = ours(arg), ref(arg)
+            assert type(got) is type(want)
+            assert got == pytest.approx(want, rel=HANKEL_RTOL, nan_ok=True)
+
+    @ORDERS
+    def test_arrays_return_what_scipy_returns(self, ours, ref):
+        x = np.asarray([[0.0, 3.0, 49.0, 50.0, 1e4], [-60.0, 1e301, np.inf, -np.inf, np.nan]])
+        got, want = ours(x), ref(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=HANKEL_RTOL, atol=0.0)
+        for empty in (np.empty(0), np.empty((2, 0))):
+            got, want = ours(empty), ref(empty)
+            assert got.shape == want.shape and got.dtype == want.dtype
+
+    @ORDERS
+    def test_mixed_call_takes_each_argument_alone(self, ours, ref):
+        rng = np.random.default_rng(11)
+        finite = np.concatenate([np.geomspace(1e-3, 49.99, 200), np.geomspace(_HANKEL_LO, 1e5, 200)])
+        for x in (rng.permutation(finite), rng.permutation(np.append(finite, [np.nan, 1e305]))):
+            got = ours(x)
+            assert np.array_equal(got, [ours(float(v)) for v in x], equal_nan=True)
+            below = ~(x >= _HANKEL_LO)
+            assert np.array_equal(got[below], ref(x[below]), equal_nan=True)
+
+    def test_negative_i1e_is_scipy(self):
+        x = -np.geomspace(1e-3, 1e6, 60)
+        assert np.array_equal(bessel_i1e(x), scipy.special.i1e(x))
+        assert np.array_equal(bessel_i1e(np.concatenate([x, -x])), np.concatenate([bessel_i1e(x), bessel_i1e(-x)]))
 
 
 class TestMarcumQ1:
@@ -106,6 +183,18 @@ class TestMarcumQ1:
         # a column of b broadcasts along the rows of a
         col = marcum_q1_complement(a, b[:, :1])
         assert np.array_equal(col[:, 3], marcum_q1_complement(a[:, 3], b[:, 0]))
+
+    def test_rows_straddling_the_bessel_cut_match_scalar_calls(self):
+        # at b = 7 the kernel arguments b t of the array call's panels run from
+        # 0 to past the Hankel cut, so its first block mixes scipy and the
+        # expansion, while the scalar call of a row with b a >= 50 evaluates
+        # the expansion alone: each row still reads its scalar call's value
+        b = 7.0
+        a = np.linspace(0.0, 30.0, _BLOCK_ROWS + 89)
+        assert (b * a[:_BLOCK_ROWS]).min() < _HANKEL_LO < (b * a[:_BLOCK_ROWS]).max()
+        assert np.count_nonzero(b * a >= _HANKEL_LO) > 300
+        got = marcum_q1_complement(a, b)
+        assert np.array_equal(got, [marcum_q1_complement(float(ai), b) for ai in a])
 
     @pytest.mark.parametrize("b", [0.5, 2.0, 8.0, 30.0, 100.0, 500.0, 3000.0])
     def test_complement_against_chndtr(self, b):
