@@ -35,17 +35,17 @@ def check_nonnegative(name, value):
 
 
 def check_loading(xi):
-    """xi as a float array; ValueError unless every entry lies in (0, 1].
+    """xi as a float array, or as is if a float; ValueError unless every entry
+    lies in (0, 1].
 
     The range test is written so that NaN fails it: non-finite loadings are
     rejected too. A scalar takes the plain float comparison, about a tenth
-    of the array test's cost.
-    """
-    x = np.asarray(xi, dtype=float)
-    if x.ndim == 0:
-        ok = 0.0 < float(x) <= 1.0
+    of the array test's cost."""
+    if isinstance(xi, float):
+        x, ok = xi, 0.0 < xi <= 1.0
     else:
-        ok = ((x > 0.0) & (x <= 1.0)).all()
+        x = np.asarray(xi, dtype=float)
+        ok = 0.0 < float(x) <= 1.0 if x.ndim == 0 else ((x > 0.0) & (x <= 1.0)).all()
     if not ok:
         raise ValueError("loading factor must lie in (0, 1]")
     return x
@@ -53,7 +53,7 @@ def check_loading(xi):
 
 def scalar_like(template, value):
     """value as a float when template is a scalar, else value unchanged."""
-    if np.ndim(template) == 0:
+    if isinstance(template, float) or np.ndim(template) == 0:
         return float(np.asarray(value).reshape(-1)[0])
     return value
 

@@ -353,7 +353,7 @@ def _cmd_tradeoff(args):
         bs_type=args.bs_type, n_ways=args.n_ways, window_lo=window_lo, window_hi=window_hi
     )
     columns = ("xi", "se_exact", "ee_exact", "se_approx", "ee_approx")
-    se_approx = [se_ibo(x, scen) for x in data["xi"]]
+    se_approx = se_ibo(data["xi"], scen)
     rows = list(zip(data["xi"], data["se_exact"], data["ee_exact"], se_approx, data["ee_linear"]))
     _write_table(args.format, args.out, "tradeoff", params, columns, rows)
     for note in notes:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import check_loading, golden_max
+from ._common import golden_max
 from .power_models import doherty_pieces, pc_ideal, pc_nonlinear
 from .se_engine import XI_FLOOR, se, se_curve, se_ideal, se_memo, xi_se_opt
 from .specfun import WBranch, lambert_w
@@ -80,17 +80,14 @@ def ee(xi, scenario, power_params, n_ways=2):
 
 
 def ee_linear(xi, scenario, power_params, n_ways=2):
-    """EE bound with a distortion-free amplifier but real consumption."""
-    xi = float(check_loading(xi))
+    """EE bound with a distortion-free amplifier but real consumption; xi may be an array."""
     rate = scenario.bandwidth * se_ideal(xi, scenario)
     return rate / pc_nonlinear(xi, power_params, n_ways=n_ways)
 
 
 def ee_ideal(xi, scenario, power_params):
-    """EE bound with a distortion-free amplifier and lossless consumption."""
-    xi = float(check_loading(xi))
-    rate = scenario.bandwidth * se_ideal(xi, scenario)
-    return rate / pc_ideal(xi, power_params, scenario.gain)
+    """EE bound with a distortion-free amplifier and lossless consumption; xi may be an array."""
+    return scenario.bandwidth * se_ideal(xi, scenario) / pc_ideal(xi, power_params, scenario.gain)
 
 
 def xi_ee_opt(scenario, power_params, n_ways=2):
@@ -193,11 +190,10 @@ def pareto_window(scenario, power_params, n_ways=2):
 
 def ee_breakdown(xi, scenario, power_params, n_ways=2):
     """One EE evaluation: the loading, its SE, its draw and their quotient."""
-    xi = float(check_loading(xi))
     se_bits = se(xi, scenario)
     pc = pc_nonlinear(xi, power_params, n_ways=n_ways)
     return EeBreakdown(
-        xi=xi,
+        xi=float(xi),
         se_bits=se_bits,
         pc_watts=pc,
         ee_bits_per_joule=scenario.bandwidth * se_bits / pc,
@@ -210,19 +206,18 @@ def ee_sweep(scenario, power_params, xi_values, n_ways=2):
     Returns a dict of arrays with keys xi, se_exact, ee_exact, ee_linear,
     ee_ideal, pc_watts (one entry per grid point); se_exact is the spectral
     efficiency behind ee_exact, so callers need no second SE sweep. Each
-    column is computed over the whole grid at once (the SE curve by
-    se_curve), and each entry is the float its per-point function gives:
-    se, ee, ee_linear, ee_ideal and pc_nonlinear.
+    column is one array call (se_curve, ee_linear, ee_ideal, pc_nonlinear),
+    and each entry is the float its per-point function gives: se, ee,
+    ee_linear, ee_ideal and pc_nonlinear.
     """
     xis = np.atleast_1d(np.asarray(xi_values, dtype=float))
     se_exact = se_curve(xis, scenario)
     pc = pc_nonlinear(xis, power_params, n_ways=n_ways)
-    rate_ideal = scenario.bandwidth * np.asarray([se_ideal(x, scenario) for x in xis])
     return {
         "xi": xis.copy(),
         "se_exact": se_exact,
         "ee_exact": scenario.bandwidth * se_exact / pc,
-        "ee_linear": rate_ideal / pc,
-        "ee_ideal": rate_ideal / pc_ideal(xis, power_params, scenario.gain),
+        "ee_linear": ee_linear(xis, scenario, power_params, n_ways=n_ways),
+        "ee_ideal": ee_ideal(xis, scenario, power_params),
         "pc_watts": pc,
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._common import check_nonnegative, check_positive, db_to_lin
+from ._common import check_loading, check_nonnegative, check_positive, db_to_lin
 from .power_models import pc_nonlinear
 from .se_engine import se, se_curve
 
@@ -233,8 +233,8 @@ def pas_frontier(se_targets, config, xi_grid, xi_mode="shared"):
         raise ValueError("targets needs at least one SE target, each finite and >= 0")
     if xi_mode not in ("shared", "per_pa"):
         raise ValueError("xi_mode must be 'shared' or 'per_pa'")
-    xis = np.unique(np.asarray(xi_grid, dtype=float))
-    if xis.size < 2 or np.any(xis <= 0.0) or np.any(xis > 1.0):
+    xis = np.unique(check_loading(xi_grid))
+    if xis.size < 2:
         raise ValueError("xi grid must contain at least two loadings in (0, 1]")
     se1, se2, pc1, pc2 = _arm_curves(config, xis)
     # candidate (xi1, xi2) index pairs: the grid's diagonal, or every pair

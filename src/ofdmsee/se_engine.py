@@ -201,13 +201,14 @@ def pdf_clipped(r, xi, scenario):
     Saturated samples land exactly on the output circle of radius b_max and
     are smeared by noise into a Rician ring, weighted by the clip
     probability. Exponents are folded with the scaled Bessel function so the
-    evaluation never overflows.
+    evaluation never overflows; a zero weight (xi below ~1/745) skips it.
     """
-    xi = check_loading(xi)
-    rr = _as_radii(r)
     s2 = scenario.noise_variance
-    bmax = scenario.b_max
     weight = clip_probability(xi) / (math.pi * s2)
+    rr = _as_radii(r)
+    bmax = scenario.b_max
+    if not np.any(weight):
+        return scalar_like(r, np.zeros(np.broadcast_shapes(np.shape(weight), rr.shape)))
     with np.errstate(under="ignore"):
         out = weight * np.exp(-((rr - bmax) ** 2) / s2) * bessel_i0e(2.0 * bmax * rr / s2)
     return scalar_like(r, out)
@@ -364,25 +365,29 @@ def se_curve(xi_values, scenario):
     The loadings not yet in the memo are integrated together (see
     _entropies) and their results stored in it; every value is then read
     back through se(), so each is the float se() gives for that loading
-    alone. A loading whose quadrature misses ENTROPY_TOL stores nothing, so
-    its se() call integrates it again and raises IntegrationError as it
-    would without the curve.
+    alone. A loading whose quadrature misses ENTROPY_TOL stores nothing; the
+    read-back stops there and raises that loading's IntegrationError, the
+    one se() would raise for it.
     """
     xis = [float(x) for x in check_loading(np.atleast_1d(xi_values)).ravel()]
     with se_memo():
         memo = _SE_MEMO.get()
         todo = list(dict.fromkeys(x for x in xis if (x, scenario) not in memo))
-        noise = noise_entropy(scenario)
+        noise, stop, error = noise_entropy(scenario), len(xis), None
         for x, h in zip(todo, _entropies(todo, scenario)):
             if not isinstance(h, IntegrationError):
                 memo[(x, scenario)] = max(0.0, h - noise)
-        return np.asarray([se(x, scenario) for x in xis])
+            elif error is None:
+                stop, error = xis.index(x), h
+        values = np.asarray([se(x, scenario) for x in xis[:stop]])
+        if error is not None:
+            raise error
+        return values
 
 
 def se_ideal(xi, scenario):
-    """Spectral efficiency of the same link with a distortion-free amplifier."""
-    xi = float(check_loading(xi))
-    return math.log2(1.0 + scenario.gamma * xi)
+    """SE log2(1 + gamma*xi) of the link with a distortion-free amplifier; xi may be an array."""
+    return scalar_like(xi, np.log2(1.0 + scenario.gamma * check_loading(xi)))
 
 
 def se_ibo(xi, scenario):
@@ -390,9 +395,8 @@ def se_ibo(xi, scenario):
 
     log2(1 + gamma*xi) plus a clipping penalty proportional to the clip
     probability; accurate for loadings up to roughly 0.3 and exact in the
-    deep-backoff limit.
+    deep-backoff limit. xi may be an array of loadings.
     """
-    xi = float(check_loading(xi))
     clip = clip_probability(xi)
     return se_ideal(xi, scenario) + clip * (1.0 / (xi * LN2) + noise_entropy(scenario))
 
@@ -475,14 +479,14 @@ def se_sweep(scenario, xi_values):
     """Evaluate the SE family over a loading grid.
 
     Returns a dict of arrays with keys xi, se_exact, se_ideal, se_ibo,
-    pr_clip (one entry per grid point). Each entry is the float its per-point
-    function gives: se (by se_curve), se_ideal, se_ibo and clip_probability.
+    pr_clip (one entry per grid point), each column one array call of se_curve,
+    se_ideal, se_ibo or clip_probability: each entry is the float it gives alone.
     """
     xis = np.atleast_1d(np.asarray(xi_values, dtype=float))
     return {
         "xi": xis.copy(),
         "se_exact": se_curve(xis, scenario),
-        "se_ideal": np.asarray([se_ideal(x, scenario) for x in xis]),
-        "se_ibo": np.asarray([se_ibo(x, scenario) for x in xis]),
+        "se_ideal": se_ideal(xis, scenario),
+        "se_ibo": se_ibo(xis, scenario),
         "pr_clip": clip_probability(xis),
     }

@@ -2,7 +2,8 @@
 -30 to +100 dB, loading from 1e-6 to 1, 1 to 4 Doherty ways, every
 transmitter preset and every embedded datasheet row, for one amplifier and
 for a switching schedule that runs one of its two arms full time; and the
-exact SE and EE optima against a grid search."""
+exact SE and EE optima against a grid search. The exact SE of every link
+lies between two closed-form bounds."""
 
 import math
 import subprocess
@@ -41,10 +42,16 @@ from ofdmsee import (
     xi_ee_max,
     xi_se_max,
 )
+from ofdmsee.se_engine import ENTROPY_TOL
+from oracles import se_bounds
 
 # each example costs one se() call (a few ms); derandomize makes every run
 # draw the same examples
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# slack on the two SE bounds, b/s/Hz: the quadrature's tolerance plus the
+# rounding of se = h(Y) - h(N), a few ulps of entropies of tens of bits
+SE_BOUND_SLACK = ENTROPY_TOL + 1e-12
 
 # slack on the practical EE, in b/s/Hz of spectral efficiency: the exact
 # se() may exceed log2(1 + gamma*xi) by its quadrature error, which is
@@ -122,6 +129,14 @@ def test_ee_is_bounded_by_the_linear_and_ideal_amplifiers(link):
 
 
 @SETTINGS
+@given(link=sized_links(), xi=loadings)
+def test_se_lies_between_the_bussgang_and_max_entropy_bounds(link, xi):
+    sc = link[0]
+    lower, upper = se_bounds(sc.gamma, xi)
+    assert lower - SE_BOUND_SLACK <= se(xi, sc) <= upper + SE_BOUND_SLACK
+
+
+@SETTINGS
 @given(schedule=one_arm_schedules())
 def test_one_arm_schedule_is_that_arms_ee(schedule):
     # no dead time is charged and the idle arm draws nothing, so the
@@ -130,6 +145,10 @@ def test_one_arm_schedule_is_that_arms_ee(schedule):
     xi, kappa, config, arm = schedule
     lossy = pa_with_loss(arm.scenario, config.insertion_loss_db)
     assert pas_ee(xi, kappa, config) == ee(xi, lossy, arm.power, n_ways=config.n_ways)
+
+
+# the sweep columns whose functions also take a whole array of loadings
+CLOSED_FORMS = ("se_ideal", "se_ibo", "ee_linear", "ee_ideal")
 
 
 # each example costs about three se() evaluations per loading
@@ -155,7 +174,26 @@ def test_sweep_columns_are_the_per_point_floats(link, xis):
     for table in (se_table, ee_table):
         assert list(table["xi"]) == xis
     for table, column, f in per_point:
-        assert list(table[column]) == [f(x) for x in xis], column
+        floats = [f(x) for x in xis]
+        assert list(table[column]) == floats, column
+        if column in CLOSED_FORMS:
+            # one call on the whole list, and a float for each loading alone
+            whole = f(np.asarray(xis))
+            assert isinstance(whole, np.ndarray) and list(whole) == floats, column
+            assert all(type(v) is float for v in floats), column
+
+
+@pytest.mark.parametrize("bad", [[0.5, math.nan], [0.0, 0.5], [0.5, 1.5], [math.inf]])
+@pytest.mark.parametrize("column", CLOSED_FORMS)
+def test_closed_forms_reject_a_bad_entry(scenario, macro_power, column, bad):
+    f = {
+        "se_ideal": se_ideal,
+        "se_ibo": se_ibo,
+        "ee_linear": lambda x, sc: ee_linear(x, sc, macro_power),
+        "ee_ideal": lambda x, sc: ee_ideal(x, sc, macro_power),
+    }[column]
+    with pytest.raises(ValueError, match=r"^loading factor must lie in \(0, 1\]$"):
+        f(np.asarray(bad), scenario)
 
 
 # the log grid that the exact optima must match or beat; it reaches below

@@ -13,7 +13,9 @@ import pytest
 import ofdmsee
 
 # a model formula's spelling, and the one module allowed to write it
-FORMULA_HOMES = {"exp(-1.0 / ": "pa_models", "10.0 ** (": "_common", "log(2.0)": "_common"}
+FORMULA_HOMES = {
+    "exp(-1.0 / ": "pa_models", "10.0 ** (": "_common", "log(2.0)": "_common", "log2(1.0 + ": "se_engine"
+}
 
 MODULES = ("specfun", "pa_models", "power_models", "se_engine", "ee_engine", "pas_engine", "mc_oracle")
 
@@ -68,10 +70,12 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["se-sweep", "pas-frontier", "tradeoff"])
+@pytest.mark.parametrize("command", ["se-sweep", "pas-frontier", "tradeoff", "optimal-xi"])
 def test_default_run_leaves_scipy_unloaded(command, tmp_path):
     # these runs evaluate the Bessel kernels at arguments of 50 and above
-    # only, which the Hankel expansion serves without scipy
+    # only, which the Hankel expansion serves without scipy; optimal-xi's
+    # search starts at a loading whose clipped density is exactly 0, which
+    # evaluates no Bessel function
     src = Path(ofdmsee.__file__).resolve().parent.parent
     code = (
         "import sys, ofdmsee.cli; "
@@ -197,7 +201,8 @@ def test_every_private_module_name_is_used():
 
 def test_each_formula_is_written_in_one_module():
     # the clip probability lives in pa_models, the dB conversions and ln 2
-    # in _common; every other module calls them rather than copying them
+    # in _common, log2(1 + gamma*xi) in se_engine's se_ideal; every other
+    # module calls them rather than copying them
     copies = []
     for path in sorted(Path(ofdmsee.__file__).resolve().parent.glob("*.py")):
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):

@@ -576,17 +576,26 @@ class TestSeMemo:
 
         monkeypatch.setattr(se_engine, "_entropy_edges", edges)
         with pytest.raises(IntegrationError) as alone:
-            se(bad, scenario)
+            entropy_y(bad, scenario)
+        handed, batched = [], se_engine._entropies
+
+        def recording(xis, sc):
+            handed.append(list(xis))
+            return batched(xis, sc)
+
+        monkeypatch.setattr(se_engine, "_entropies", recording)
         with se_memo():
             with pytest.raises(IntegrationError) as in_curve:
                 se_curve([0.1, bad, 0.5], scenario)
+            # the curve raises its batch's own error: no loading is integrated twice
+            assert handed == [[0.1, bad, 0.5]]
             assert set(se_engine._SE_MEMO.get()) == {(0.1, scenario), (0.5, scenario)}
             with pytest.raises(IntegrationError) as again:
                 se(bad, scenario)
             kept = [se(0.1, scenario), se(0.5, scenario)]
-        want = (alone.value.estimate, alone.value.error_bound)
+        want = (str(alone.value), alone.value.estimate, alone.value.error_bound)
         for err in (in_curve.value, again.value):
-            assert (err.estimate, err.error_bound) == want
+            assert (str(err), err.estimate, err.error_bound) == want
         assert kept == [se(0.1, scenario), se(0.5, scenario)]
 
     def test_nested_scope_reuses_the_outer_memo(self, scenario, entropy_calls):
