@@ -45,7 +45,7 @@ def check_loading(xi):
         x, ok = xi, 0.0 < xi <= 1.0
     else:
         x = np.asarray(xi, dtype=float)
-        ok = 0.0 < float(x) <= 1.0 if x.ndim == 0 else ((x > 0.0) & (x <= 1.0)).all()
+        ok = ((x > 0.0) & (x <= 1.0)).all()
     if not ok:
         raise ValueError("loading factor must lie in (0, 1]")
     return x

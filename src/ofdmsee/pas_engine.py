@@ -235,7 +235,7 @@ def pas_frontier(se_targets, config, xi_grid, xi_mode="shared"):
         raise ValueError("xi_mode must be 'shared' or 'per_pa'")
     xis = np.unique(check_loading(xi_grid))
     if xis.size < 2:
-        raise ValueError("xi grid must contain at least two loadings in (0, 1]")
+        raise ValueError("xi grid must contain at least two loadings")
     se1, se2, pc1, pc2 = _arm_curves(config, xis)
     # candidate (xi1, xi2) index pairs: the grid's diagonal, or every pair
     if xi_mode == "shared":

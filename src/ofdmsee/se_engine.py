@@ -365,24 +365,23 @@ def se_curve(xi_values, scenario):
     The loadings not yet in the memo are integrated together (see
     _entropies) and their results stored in it; every value is then read
     back through se(), so each is the float se() gives for that loading
-    alone. A loading whose quadrature misses ENTROPY_TOL stores nothing; the
-    read-back stops there and raises that loading's IntegrationError, the
-    one se() would raise for it.
+    alone. A loading whose quadrature misses ENTROPY_TOL stores nothing, and
+    the first such loading's IntegrationError, the one se() would raise for
+    it, is raised once the others are stored.
     """
     xis = [float(x) for x in check_loading(np.atleast_1d(xi_values)).ravel()]
     with se_memo():
         memo = _SE_MEMO.get()
         todo = list(dict.fromkeys(x for x in xis if (x, scenario) not in memo))
-        noise, stop, error = noise_entropy(scenario), len(xis), None
+        noise, error = noise_entropy(scenario), None
         for x, h in zip(todo, _entropies(todo, scenario)):
             if not isinstance(h, IntegrationError):
                 memo[(x, scenario)] = max(0.0, h - noise)
             elif error is None:
-                stop, error = xis.index(x), h
-        values = np.asarray([se(x, scenario) for x in xis[:stop]])
+                error = h
         if error is not None:
             raise error
-        return values
+        return np.asarray([se(x, scenario) for x in xis])
 
 
 def se_ideal(xi, scenario):
@@ -398,7 +397,8 @@ def se_ibo(xi, scenario):
     deep-backoff limit. xi may be an array of loadings.
     """
     clip = clip_probability(xi)
-    return se_ideal(xi, scenario) + clip * (1.0 / (xi * LN2) + noise_entropy(scenario))
+    penalty = clip * (1.0 / (np.asarray(xi, dtype=float) * LN2) + noise_entropy(scenario))
+    return scalar_like(xi, se_ideal(xi, scenario) + penalty)
 
 
 def xi_se_opt(scenario):

@@ -177,9 +177,14 @@ def test_sweep_columns_are_the_per_point_floats(link, xis):
         floats = [f(x) for x in xis]
         assert list(table[column]) == floats, column
         if column in CLOSED_FORMS:
-            # one call on the whole list, and a float for each loading alone
-            whole = f(np.asarray(xis))
-            assert isinstance(whole, np.ndarray) and list(whole) == floats, column
+            # one call on the whole list (as an array or a plain list), and a
+            # float for each loading alone, given as a float, a NumPy scalar or
+            # a 0-d array
+            for whole in (f(np.asarray(xis)), f(list(xis))):
+                assert isinstance(whole, np.ndarray) and list(whole) == floats, column
+            for scalar in (np.float64, np.asarray):
+                alone = [f(scalar(x)) for x in xis]
+                assert alone == floats and all(type(v) is float for v in alone), column
             assert all(type(v) is float for v in floats), column
 
 

@@ -173,6 +173,10 @@ def tdd_clean(arm_low, arm_high):
     )
 
 
+BAD_LOADING = r"^loading factor must lie in \(0, 1\]$"
+TOO_FEW = r"^xi grid must contain at least two loadings$"
+
+
 @pytest.fixture(scope="module")
 def grid():
     return np.geomspace(0.02, 1.0, 20)
@@ -197,6 +201,15 @@ class TestFrontier:
         pts = pas_frontier([0.0, 8.0, 16.0], tdd_clean, xi_grid=grid)
         assert all(p.feasible for p in pts)
         assert pts[0].ee == max(p.ee for p in pts)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [([0.1, math.nan], BAD_LOADING), ([0.0, 0.5], BAD_LOADING), ([0.5, 1.5], BAD_LOADING),
+         ([0.5], TOO_FEW), ([0.5, 0.5], TOO_FEW)],
+    )
+    def test_bad_grid_rejected(self, bad, message, tdd_clean):
+        with pytest.raises(ValueError, match=message):
+            pas_frontier([8.0], tdd_clean, xi_grid=bad)
 
     @pytest.mark.parametrize("targets", [[], [math.nan], [math.inf], [8.0, -1e-9]])
     def test_invalid_targets_rejected(self, targets, tdd_clean, grid):
