@@ -3,7 +3,9 @@
 Subcommands cover the scenario sweeps (se-sweep, ee-sweep, tradeoff), the
 switching-schedule frontier (pas-frontier), Monte Carlo validation
 (mc-validate), datasheet inspection (datasheet), and the loading-factor
-optimizers (optimal-xi). Each subcommand accepts only the flags it reads.
+optimizers (optimal-xi). The argparse parser is the one registry of
+subcommands: each subparser carries its handler (run) and the figure name
+its tables are tagged with (figure), and accepts only the flags it reads.
 All outputs embed the flags the command reads in a comment header and are
 byte-identical across reruns with the same inputs.
 """
@@ -32,17 +34,6 @@ from .power_models import BS_PRESETS
 from .se_engine import (
     build_scenario, se, se_curve, se_ibo, se_memo, se_sweep, xi_se_max, xi_se_opt
 )
-
-_FIGURES = {
-    "se-sweep": "se-vs-loading",
-    "ee-sweep": "ee-vs-loading",
-    "tradeoff": "se-ee-tradeoff",
-    "pas-frontier": "pas-frontier",
-    "mc-validate": "mc-validation",
-    "datasheet": "pa-datasheet",
-    "optimal-xi": "optimal-loading",
-}
-
 
 # ---------------------------------------------------------------------------
 # Argument plumbing
@@ -88,16 +79,6 @@ def _resolve_pa(token):
     return find_pa(token)
 
 
-def _channel_args(parser):
-    parser.add_argument("--g-db", type=float, default=5.0, help="channel gain constant, dB")
-    parser.add_argument("--alpha", type=float, default=3.76, help="path-loss exponent")
-    parser.add_argument("--d-km", type=float, default=0.2, help="link distance, km")
-    parser.add_argument(
-        "--noise-psd", type=float, default=-174.0, help="noise PSD, dBm/Hz"
-    )
-    parser.add_argument("--bandwidth", type=float, default=1e7, help="bandwidth, Hz")
-
-
 # flags that only some subcommands read
 _FLAGS = {
     "pa": dict(default="SM2122-44L", help="PA preset, row id, or file:row"),
@@ -106,6 +87,7 @@ _FLAGS = {
         type=_parse_grid, default="0.005:1:80:log", help="loading grid min:max:n[:log]"
     ),
     "seed": dict(type=int, default=12345, help="RNG seed"),
+    "n-ways": dict(type=int, default=2, help="Doherty way count"),
 }
 
 
@@ -115,7 +97,11 @@ def _common_args(parser, *flags):
         parser.add_argument("--" + flag, **_FLAGS[flag])
     parser.add_argument("--out", default=None, help="output path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    _channel_args(parser)
+    parser.add_argument("--g-db", type=float, default=5.0, help="channel gain constant, dB")
+    parser.add_argument("--alpha", type=float, default=3.76, help="path-loss exponent")
+    parser.add_argument("--d-km", type=float, default=0.2, help="link distance, km")
+    parser.add_argument("--noise-psd", type=float, default=-174.0, help="noise PSD, dBm/Hz")
+    parser.add_argument("--bandwidth", type=float, default=1e7, help="bandwidth, Hz")
 
 
 def _build_parser():
@@ -129,27 +115,27 @@ def _build_parser():
 
     p = sub.add_parser("se-sweep", help="spectral efficiency vs loading factor")
     _common_args(p, "pa", "xi-grid")
+    p.set_defaults(run=_cmd_se_sweep, figure="se-vs-loading")
 
     p = sub.add_parser("ee-sweep", help="energy efficiency vs loading factor")
-    _common_args(p, "pa", "bs-type", "xi-grid")
-    p.add_argument("--n-ways", type=int, default=2, help="Doherty way count")
+    _common_args(p, "pa", "bs-type", "xi-grid", "n-ways")
+    p.set_defaults(run=_cmd_ee_sweep, figure="ee-vs-loading")
 
     p = sub.add_parser("tradeoff", help="joined SE-EE curve over the loading grid")
-    _common_args(p, "pa", "bs-type", "xi-grid")
-    p.add_argument("--n-ways", type=int, default=2)
+    _common_args(p, "pa", "bs-type", "xi-grid", "n-ways")
+    p.set_defaults(run=_cmd_tradeoff, figure="se-ee-tradeoff")
 
     p = sub.add_parser(
         "optimal-xi", help="optimal loading factors: exact optimum and paper closed form"
     )
-    _common_args(p, "pa", "bs-type")
-    p.add_argument("--n-ways", type=int, default=2)
+    _common_args(p, "pa", "bs-type", "n-ways")
+    p.set_defaults(run=_cmd_optimal_xi, figure="optimal-loading")
 
     p = sub.add_parser("pas-frontier", help="SE-EE frontier of a two-PA switching schedule")
-    _common_args(p, "bs-type", "xi-grid")
-    p.set_defaults(xi_grid="0.02:1:48:log")
+    _common_args(p, "bs-type", "xi-grid", "n-ways")
+    p.set_defaults(run=_cmd_pas_frontier, figure="pas-frontier", xi_grid="0.02:1:48:log")
     p.add_argument("--pa-low", default="SM2122-44L")
     p.add_argument("--pa-high", default="SM1720-50")
-    p.add_argument("--n-ways", type=int, default=2)
     p.add_argument("--frames", type=int, default=20, help="frames per schedule window")
     p.add_argument("--frame-length", type=float, default=0.01, help="frame length, s")
     p.add_argument("--duplex", choices=("tdd", "fdd"), default=None)
@@ -161,12 +147,14 @@ def _build_parser():
 
     p = sub.add_parser("mc-validate", help="Monte Carlo validation of the analytic engine")
     _common_args(p, "pa", "seed")
+    p.set_defaults(run=_cmd_mc_validate, figure="mc-validation")
     p.add_argument("--xi", type=_parse_float_list, default=[0.05, 0.1, 0.2, 0.4])
     p.add_argument("--samples", type=int, default=200000)
     p.add_argument("--n-sub", type=int, default=256, help="subcarriers per frame")
     p.add_argument("--cp", type=int, default=16, help="cyclic-prefix length")
 
     p = sub.add_parser("datasheet", help="list amplifier table with drain efficiency")
+    p.set_defaults(run=_cmd_datasheet, figure="pa-datasheet")
     p.add_argument("--config", default=None)
     p.add_argument("--file", default=None, help="CSV datasheet to load instead of the embedded table")
     p.add_argument("--out", default=None)
@@ -192,20 +180,15 @@ def _read_config_file(path):
 
 def _effective_argv(argv):
     """Insert config-file entries after the subcommand so flags override them."""
-    if not argv or "--config" not in " ".join(argv):
-        return argv
-    cfg_path = None
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
             cfg_path = argv[i + 1]
-            break
-        if tok.startswith("--config="):
+        elif tok.startswith("--config="):
             cfg_path = tok.split("=", 1)[1]
-            break
-    if cfg_path is None:
-        return argv
-    file_args = _read_config_file(cfg_path)
-    return [argv[0]] + file_args + argv[1:]
+        else:
+            continue
+        return [argv[0]] + _read_config_file(cfg_path) + argv[1:]
+    return argv
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +203,8 @@ def _fmt(value):
     return str(value)
 
 
-def _render_csv(command, params, columns, rows):
-    lines = [f"# tool: ofdmsee {__version__}", f"# figure: {_FIGURES[command]}"]
+def _render_csv(figure, params, columns, rows):
+    lines = [f"# tool: ofdmsee {__version__}", f"# figure: {figure}"]
     for key in sorted(params):
         lines.append(f"# {key} = {_fmt(params[key])}")
     lines.append(",".join(columns))
@@ -230,11 +213,11 @@ def _render_csv(command, params, columns, rows):
     return "\n".join(lines) + "\n"
 
 
-def _render_json(command, params, columns, rows):
+def _render_json(figure, params, columns, rows):
     doc = {
         "tool": "ofdmsee",
         "version": __version__,
-        "figure": _FIGURES[command],
+        "figure": figure,
         "config": {k: _fmt(v) for k, v in params.items()},
         "columns": list(columns),
         "rows": [[_fmt(v) for v in row] for row in rows],
@@ -249,15 +232,16 @@ def _note(args, text):
     print(f"# {text}")
 
 
-def _write_table(fmt, out, command, params, columns, rows):
-    text = (_render_json if fmt == "json" else _render_csv)(command, params, columns, rows)
+def _write_table(args, out, params, columns, rows):
+    """Render the table in args.format, tagged args.figure, to out or stdout."""
+    render = _render_json if args.format == "json" else _render_csv
+    text = render(args.figure, params, columns, rows)
     if out is None:
         sys.stdout.write(text)
-        return None
+        return
     with open(out, "w", newline="") as fh:
         fh.write(text)
     print(f"wrote {out} ({len(rows)} rows)")
-    return out
 
 
 def _channel_params(args):
@@ -303,7 +287,7 @@ def _cmd_se_sweep(args):
     params["gamma_db"] = 10.0 * math.log10(scen.gamma)
     columns = ("xi", "se_exact", "se_ideal", "se_ibo", "pr_clip")
     rows = list(zip(*(data[c] for c in columns)))
-    _write_table(args.format, args.out, "se-sweep", params, columns, rows)
+    _write_table(args, args.out, params, columns, rows)
     best = int(np.argmax(data["se_exact"]))
     _note(args, f"max SE {_fmt(data['se_exact'][best])} b/s/Hz at xi = {_fmt(data['xi'][best])}")
     return 0
@@ -318,7 +302,7 @@ def _cmd_ee_sweep(args):
     params.update(bs_type=args.bs_type, n_ways=args.n_ways, p_fix_w=power.p_fix, c_slope=power.c)
     columns = ("xi", "ee_exact", "ee_linear", "ee_ideal", "pc_watts")
     rows = list(zip(*(data[c] for c in columns)))
-    _write_table(args.format, args.out, "ee-sweep", params, columns, rows)
+    _write_table(args, args.out, params, columns, rows)
     best = int(np.argmax(data["ee_exact"]))
     _note(args, f"max EE {_fmt(data['ee_exact'][best])} b/J at xi = {_fmt(data['xi'][best])}")
     return 0
@@ -355,7 +339,7 @@ def _cmd_tradeoff(args):
     columns = ("xi", "se_exact", "ee_exact", "se_approx", "ee_approx")
     se_approx = se_ibo(data["xi"], scen)
     rows = list(zip(data["xi"], data["se_exact"], data["ee_exact"], se_approx, data["ee_linear"]))
-    _write_table(args.format, args.out, "tradeoff", params, columns, rows)
+    _write_table(args, args.out, params, columns, rows)
     for note in notes:
         _note(args, f"tradeoff window {note}")
     if window is not None:
@@ -392,7 +376,7 @@ def _cmd_optimal_xi(args):
             print(f"# {quantity} {label} {note}")
     if args.out is not None:
         rows = [row[:4] for row in rows]
-        _write_table(args.format, args.out, "optimal-xi", params, columns, rows)
+        _write_table(args, args.out, params, columns, rows)
     return 0
 
 
@@ -469,7 +453,7 @@ def _cmd_pas_frontier(args):
             out = f"{stem}.{args.format}"
         else:
             out = None
-        _write_table(args.format, out, "pas-frontier", params, columns, rows)
+        _write_table(args, out, params, columns, rows)
     return 0
 
 
@@ -500,7 +484,7 @@ def _cmd_mc_validate(args):
             f"xi={_fmt(xi)}: ks={_fmt(ks)} mi={_fmt(mi)} "
             f"se={_fmt(se_val)} err={_fmt(mi - se_val)}",
         )
-    _write_table(args.format, args.out, "mc-validate", params, columns, rows)
+    _write_table(args, args.out, params, columns, rows)
     return 0
 
 
@@ -508,37 +492,30 @@ def _cmd_datasheet(args):
     specs = embedded_datasheet() if args.file is None else load_datasheet(args.file)
     params = {"source": args.file if args.file is not None else "embedded"}
     columns = ("model", "p_max_out_w", "gain", "p_max_in_w", "drain_efficiency", "turn_on_s")
-    rows = []
-    for spec in specs:
-        eta = drain_efficiency(spec)
-        rows.append(
-            (
-                spec.model_name,
-                spec.p_max_out,
-                spec.gain,
-                spec.p_max_in,
-                eta if eta is not None else "",
-                spec.turn_on_time if spec.turn_on_time is not None else "",
-            )
+    etas = [drain_efficiency(spec) for spec in specs]
+    rows = [
+        (
+            spec.model_name,
+            spec.p_max_out,
+            spec.gain,
+            spec.p_max_in,
+            eta if eta is not None else "",
+            spec.turn_on_time if spec.turn_on_time is not None else "",
         )
-    _write_table(args.format, args.out, "datasheet", params, columns, rows)
-    if args.out is None:
-        etas = [drain_efficiency(s) for s in specs]
-        etas = [e for e in etas if e is not None]
-        if etas:
-            _note(args, f"median drain efficiency: {_fmt(float(np.median(etas)))}")
+        for spec, eta in zip(specs, etas)
+    ]
+    _write_table(args, args.out, params, columns, rows)
+    rated = [eta for eta in etas if eta is not None]
+    if args.out is None and rated:
+        _note(args, f"median drain efficiency: {_fmt(float(np.median(rated)))}")
     return 0
 
 
-_COMMANDS = {
-    "se-sweep": _cmd_se_sweep,
-    "ee-sweep": _cmd_ee_sweep,
-    "tradeoff": _cmd_tradeoff,
-    "optimal-xi": _cmd_optimal_xi,
-    "pas-frontier": _cmd_pas_frontier,
-    "mc-validate": _cmd_mc_validate,
-    "datasheet": _cmd_datasheet,
-}
+def _fail(exc, **context):
+    """Write exc and context as a one-line JSON record on stderr; exit status 2."""
+    record = {"error": type(exc).__name__, "message": str(exc), **context}
+    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+    return 2
 
 
 def main(argv=None):
@@ -546,23 +523,15 @@ def main(argv=None):
     try:
         argv = _effective_argv(argv)
     except (OSError, ValueError) as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+        return _fail(exc)
+    args = _build_parser().parse_args(argv)
     try:
         # one memo per invocation: the pas-frontier probe and its variants
         # share their SE curves
         with se_memo():
-            return _COMMANDS[args.command](args)
+            return args.run(args)
     except Exception as exc:  # fail with a machine-readable record
-        record = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "command": args.command,
-        }
-        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-        return 2
+        return _fail(exc, command=args.command)
 
 
 if __name__ == "__main__":

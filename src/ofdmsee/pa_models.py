@@ -105,7 +105,7 @@ def soft_limiter(amplitude, spec):
     saturation at b_max above it. Amplitude is a scalar or array, >= 0.
     """
     a = np.asarray(amplitude, dtype=float)
-    if a.size and np.any(a < 0.0):
+    if not (a >= 0.0).all():  # NaN fails too
         raise ValueError("amplitudes must be non-negative")
     return scalar_like(amplitude, np.minimum(math.sqrt(spec.gain) * a, spec.b_max))
 
@@ -117,7 +117,7 @@ def rapp(amplitude, params):
     strictly below the soft limiter with the same gain and b_sat = b_max.
     """
     a = np.asarray(amplitude, dtype=float)
-    if a.size and np.any(a < 0.0):
+    if not (a >= 0.0).all():  # NaN fails too
         raise ValueError("amplitudes must be non-negative")
     two_p = 2.0 * params.p
     t = math.sqrt(params.gain) * a / params.b_sat

@@ -290,8 +290,12 @@ def _entropies(xis, scenario):
             return -2.0 * math.pi * radii * f * logf
 
         edge_rows = [_entropy_edges(float(x), scenario) for x in batch]
-        for h_nats in _gauss_panel_rows(integrand, edge_rows, rule=_GK15, tol=ENTROPY_TOL * LN2):
-            out.append(h_nats if isinstance(h_nats, IntegrationError) else h_nats / LN2)
+        for h in _gauss_panel_rows(integrand, edge_rows, rule=_GK15, tol=ENTROPY_TOL * LN2):
+            if isinstance(h, IntegrationError):
+                h.estimate, h.error_bound = h.estimate / LN2, h.error_bound / LN2
+                out.append(h)
+            else:
+                out.append(h / LN2)
     return out
 
 
@@ -308,9 +312,10 @@ def entropy_y(xi, scenario):
     whose Kronrod value is returned. f(r) = 0 contributes zero
     (0*log 0 = 0). The error check is the embedded 7-node Gauss rule on the
     same density values, and must agree to ENTROPY_TOL bits; the panels are
-    split if it does not, and IntegrationError is raised if refinement
-    cannot meet it. This is the batched quadrature of se_curve on a batch of
-    one loading, so both give the same float.
+    split if it does not, and IntegrationError, its estimate and error_bound
+    in bits, is raised if refinement cannot meet it. This is the batched
+    quadrature of se_curve on a batch of one loading, so both give the same
+    float.
     """
     h = _entropies([float(check_loading(xi))], scenario)[0]
     if isinstance(h, IntegrationError):

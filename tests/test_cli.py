@@ -528,6 +528,39 @@ class TestFlagsMatchHeaders:
             capsys.readouterr()
 
 
+# the figure name each subcommand tags its tables with
+FIGURES = {
+    "se-sweep": "se-vs-loading",
+    "ee-sweep": "ee-vs-loading",
+    "tradeoff": "se-ee-tradeoff",
+    "optimal-xi": "optimal-loading",
+    "pas-frontier": "pas-frontier",
+    "mc-validate": "mc-validation",
+    "datasheet": "pa-datasheet",
+}
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("command", sorted(FIGURES))
+    def test_tables_name_their_figure(self, capsys, tmp_path, command):
+        argv, _, _ = FLAG_CASES[command]
+        csv, doc = tmp_path / "table.csv", tmp_path / "table.json"
+        assert run(capsys, command, *argv, "--out", str(csv))[0] == 0
+        assert run(capsys, command, *argv, "--format", "json", "--out", str(doc))[0] == 0
+        assert f"# figure: {FIGURES[command]}" in csv.read_text().splitlines()
+        assert json.loads(doc.read_text())["figure"] == FIGURES[command]
+
+    @pytest.mark.parametrize("key", ["run", "figure"])
+    @pytest.mark.parametrize("command", sorted(FIGURES))
+    def test_config_file_cannot_set_the_handler_or_figure(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = x\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --{key} x" in capsys.readouterr().err
+
+
 class TestParsing:
     def test_bad_grid_exits_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

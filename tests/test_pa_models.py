@@ -67,6 +67,18 @@ class TestSoftLimiter:
         assert np.all(np.diff(out) >= -1e-15)
         assert np.all(out <= sm44.b_max * (1 + 1e-12))
 
+    @pytest.mark.parametrize(
+        "a", [-1e-3, math.nan, [0.1, math.nan], [0.1, -0.1]],
+        ids=["negative", "nan", "nan-entry", "negative-entry"],
+    )
+    def test_negative_or_nan_amplitude_rejected(self, sm44, a):
+        with pytest.raises(ValueError, match="non-negative"):
+            soft_limiter(np.asarray(a), sm44)
+
+    def test_empty_and_infinite_amplitudes_pass(self, sm44):
+        assert soft_limiter(np.array([]), sm44).shape == (0,)
+        assert soft_limiter(math.inf, sm44) == sm44.b_max
+
 
 class TestRapp:
     def test_limits(self):
@@ -91,6 +103,18 @@ class TestRapp:
     def test_overflow_guard(self):
         params = RappParams(gain=100.0, b_sat=2.0, p=2.0)
         assert rapp(1e200, params) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a", [-1e-3, math.nan, [0.1, math.nan], [0.1, -0.1]],
+        ids=["negative", "nan", "nan-entry", "negative-entry"],
+    )
+    def test_negative_or_nan_amplitude_rejected(self, a):
+        # a NaN would otherwise take the saturated branch and read 2 * 2**-0.25
+        with pytest.raises(ValueError, match="non-negative"):
+            rapp(np.asarray(a), RappParams(gain=100.0, b_sat=2.0))
+
+    def test_empty_amplitudes_pass(self):
+        assert rapp(np.array([]), RappParams(gain=100.0, b_sat=2.0)).shape == (0,)
 
 
 class TestClipProbability:

@@ -597,6 +597,10 @@ class TestSeMemo:
         for err in (in_curve.value, again.value):
             assert (str(err), err.estimate, err.error_bound) == want
         assert kept == [se(0.1, scenario), se(0.5, scenario)]
+        # the error reads in bits, as entropy_y does: its estimate lies
+        # within its bound of the converged entropy
+        monkeypatch.undo()
+        assert abs(alone.value.estimate - entropy_y(bad, scenario)) <= alone.value.error_bound
 
     def test_nested_scope_reuses_the_outer_memo(self, scenario, entropy_calls):
         with se_memo():
