@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from ._common import check_loading
 from .ee_engine import InfeasibleError, ee_sweep, pareto_window, xi_ee_max, xi_ee_opt
-from .mc_oracle import FrameConfig, radial_statistics, simulate_frames
+from .mc_oracle import FrameConfig, _link_statistics
 from .pa_models import (
     drain_efficiency,
     embedded_datasheet,
@@ -88,15 +88,21 @@ _FLAGS = {
     ),
     "seed": dict(type=int, default=12345, help="RNG seed"),
     "n-ways": dict(type=int, default=2, help="Doherty way count"),
+    "file": dict(default=None, help="CSV datasheet to load instead of the embedded table"),
 }
 
 
 def _common_args(parser, *flags):
+    # the flags every subcommand reads, around the given ones of _FLAGS
     parser.add_argument("--config", default=None, help="key=value config file")
     for flag in flags:
         parser.add_argument("--" + flag, **_FLAGS[flag])
     parser.add_argument("--out", default=None, help="output path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _link_args(parser):
+    # the flags of the link scenario, read by every subcommand but datasheet
     parser.add_argument("--g-db", type=float, default=5.0, help="channel gain constant, dB")
     parser.add_argument("--alpha", type=float, default=3.76, help="path-loss exponent")
     parser.add_argument("--d-km", type=float, default=0.2, help="link distance, km")
@@ -115,24 +121,29 @@ def _build_parser():
 
     p = sub.add_parser("se-sweep", help="spectral efficiency vs loading factor")
     _common_args(p, "pa", "xi-grid")
+    _link_args(p)
     p.set_defaults(run=_cmd_se_sweep, figure="se-vs-loading")
 
     p = sub.add_parser("ee-sweep", help="energy efficiency vs loading factor")
     _common_args(p, "pa", "bs-type", "xi-grid", "n-ways")
+    _link_args(p)
     p.set_defaults(run=_cmd_ee_sweep, figure="ee-vs-loading")
 
     p = sub.add_parser("tradeoff", help="joined SE-EE curve over the loading grid")
     _common_args(p, "pa", "bs-type", "xi-grid", "n-ways")
+    _link_args(p)
     p.set_defaults(run=_cmd_tradeoff, figure="se-ee-tradeoff")
 
     p = sub.add_parser(
         "optimal-xi", help="optimal loading factors: exact optimum and paper closed form"
     )
     _common_args(p, "pa", "bs-type", "n-ways")
+    _link_args(p)
     p.set_defaults(run=_cmd_optimal_xi, figure="optimal-loading")
 
     p = sub.add_parser("pas-frontier", help="SE-EE frontier of a two-PA switching schedule")
     _common_args(p, "bs-type", "xi-grid", "n-ways")
+    _link_args(p)
     p.set_defaults(run=_cmd_pas_frontier, figure="pas-frontier", xi_grid="0.02:1:48:log")
     p.add_argument("--pa-low", default="SM2122-44L")
     p.add_argument("--pa-high", default="SM1720-50")
@@ -147,6 +158,7 @@ def _build_parser():
 
     p = sub.add_parser("mc-validate", help="Monte Carlo validation of the analytic engine")
     _common_args(p, "pa", "seed")
+    _link_args(p)
     p.set_defaults(run=_cmd_mc_validate, figure="mc-validation")
     p.add_argument("--xi", type=_parse_float_list, default=[0.05, 0.1, 0.2, 0.4])
     p.add_argument("--samples", type=int, default=200000)
@@ -154,11 +166,8 @@ def _build_parser():
     p.add_argument("--cp", type=int, default=16, help="cyclic-prefix length")
 
     p = sub.add_parser("datasheet", help="list amplifier table with drain efficiency")
+    _common_args(p, "file")
     p.set_defaults(run=_cmd_datasheet, figure="pa-datasheet")
-    p.add_argument("--config", default=None)
-    p.add_argument("--file", default=None, help="CSV datasheet to load instead of the embedded table")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
 
@@ -474,9 +483,7 @@ def _cmd_mc_validate(args):
     params.update(seed=args.seed, samples=n_samples, n_subcarriers=args.n_sub, cp=args.cp)
     columns = ("xi", "samples", "ks_distance", "mi_estimate", "se_analytic", "error_bits")
     rows = []
-    for xi in args.xi:
-        # no name holds the samples, so they are freed before the next loading
-        ks, mi = radial_statistics(simulate_frames(config, xi, scen), xi, scen)
+    for xi, (ks, mi) in zip(args.xi, _link_statistics(config, args.xi, scen)):
         se_val = se(xi, scen)
         rows.append((xi, n_samples, ks, mi, se_val, mi - se_val))
         _note(

@@ -10,6 +10,14 @@ counter-based RNG stream, and the batches run on a thread pool with one
 worker per usable CPU, each worker filling its own buffers in place. The
 output is byte-identical to a serial run.
 
+One batch chain serves a group of loadings: each batch's Gaussian draws
+are made once and every loading of the group scales the same draws, which
+is what a run of each loading alone would draw. simulate_frames runs it on
+one loading and keeps the complex samples. mc-validate runs it on up to
+_GROUP_LOADINGS loadings at a time, and its workers keep only |y| and the
+phase-harmonic sums of each block, from which the calling thread computes
+the statistics one loading at a time.
+
 Two mutual-information estimators share one interface. estimate_mi_radial,
 which mc-validate reports, takes the 1-D m-spacing entropy of the sorted
 |y|^2. It relies on the received sample being circularly symmetric (uniform
@@ -51,8 +59,13 @@ __all__ = [
 ]
 
 _BATCH_FRAMES = 512
-# block length of the sample scans that must not allocate n-sized temporaries
-_BLOCK_SAMPLES = 65536
+# block length of the chain's sub-blocks, of the phase sums and of the KS
+# scan, none of which allocates an n-sized temporary. Frames have a
+# power-of-two length of at least 64, so a 512-frame batch is a whole
+# number of blocks and every sub-block starts on a block boundary.
+_BLOCK_SAMPLES = 16384
+# loadings run on one set of draws; bounds the magnitude arrays held at once
+_GROUP_LOADINGS = 4
 # the phase-harmonic check of estimate_mi_radial: harmonics k = 1..4 and the
 # bound on n*|mean(e^{ik*phase})|^2, which is Exp(1) under a uniform phase
 # (false alarm about 4*e^-30 = 4e-13 per sample)
@@ -126,19 +139,99 @@ def _apply_pa(x, config, scenario, amp, out_amp):
     x *= out_amp
 
 
-def _fill_gaussian(rng, scale, draw, dst):
-    # dst = scale * (re + 1j*im) from two standard-normal draws, in place
-    rng.standard_normal(out=draw)
-    np.multiply(draw, scale, out=dst.real)
-    rng.standard_normal(out=draw)
-    np.multiply(draw, scale, out=dst.imag)
-
-
 def _usable_cpus():
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _run_chain(config, xis, scenario, channel, sink):
+    """Run simulate_frames' chain for each loading of xis on one set of draws.
+
+    Frames run in batches of 512. Batch b draws, from _batch_stream(seed, b)
+    and once for all loadings, the real then the imaginary symbol parts and
+    (with noise) the real then the imaginary noise parts. Each loading in
+    turn then takes the batch through the chain in sub-blocks of whole
+    frames, _BLOCK_SAMPLES samples or one frame if that is longer, and hands
+    each received block to sink(j, start, rx): j indexes xis, start is the
+    flat index of the block's first sample, and rx is a (frames, N) worker
+    buffer that the next block overwrites. A loading's samples are thus
+    those of a run of that loading alone.
+
+    The batches run on a thread pool with one worker per usable CPU (at most
+    one per batch); each worker reuses one buffer set allocated by the
+    calling thread. sink runs on the workers, so it writes only what its
+    block owns.
+    """
+    xis = [float(check_loading(xi)) for xi in xis]
+    if channel is None:
+        channel = ChannelProfile.flat()
+    taps = np.asarray(channel.taps, dtype=complex)
+    if config.cp_length < channel.n_taps:
+        raise ValueError("cyclic prefix shorter than the channel delay spread")
+    n = config.n_subcarriers
+    ncp = config.cp_length
+    sig_scales = [math.sqrt(xi * scenario.p_max_in / 2.0) for xi in xis]
+    noise_scale = math.sqrt(scenario.noise_variance / 2.0)
+    rows = min(_BATCH_FRAMES, config.n_frames)
+    sub = min(max(1, _BLOCK_SAMPLES // n), rows)
+    n_batches = (config.n_frames + _BATCH_FRAMES - 1) // _BATCH_FRAMES
+    workers = min(_usable_cpus(), n_batches)
+    # per worker: the batch's standard-normal draws (symbol real and
+    # imaginary parts, then noise real and imaginary parts); per sub-block
+    # the limiter scratch (float), symbols, prefixed block and received block
+    buffers = [
+        (
+            np.empty((4 if config.include_noise else 2, rows, n)),
+            np.empty((2, sub, n)),
+            np.empty((sub, n), dtype=complex),
+            np.empty((sub, ncp + n), dtype=complex),
+            np.empty((sub, n), dtype=complex),
+        )
+        for _ in range(workers)
+    ]
+
+    def run(worker):
+        # batches worker, worker + workers, ...; calls no traced function,
+        # since the benchmark's span stack is not thread-safe
+        normals, scratch, sym, tx, rx = buffers[worker]
+        for b in range(worker, n_batches, workers):
+            first = b * _BATCH_FRAMES
+            frames = min(_BATCH_FRAMES, config.n_frames - first)
+            rng = _batch_stream(config.seed, b)
+            for part in normals[:, :frames]:
+                rng.standard_normal(out=part)
+            for j, sig_scale in enumerate(sig_scales):
+                for lo in range(0, frames, sub):
+                    hi = min(lo + sub, frames)
+                    s, t, y = sym[: hi - lo], tx[: hi - lo], rx[: hi - lo]
+                    np.multiply(normals[0, lo:hi], sig_scale, out=s.real)
+                    np.multiply(normals[1, lo:hi], sig_scale, out=s.imag)
+                    np.fft.ifft(s, norm="ortho", axis=1, out=s)
+                    _apply_pa(s, config, scenario, scratch[0, : hi - lo], scratch[1, : hi - lo])
+                    t[:, ncp:] = s
+                    t[:, :ncp] = s[:, n - ncp :]
+                    # linear convolution with the taps via shifted adds, kept
+                    # only past the prefix; with ncp >= L-1 this equals
+                    # circular convolution of the prefix-free block. Each
+                    # output column sums its lags in tap order.
+                    y.fill(0.0)
+                    for lag, h in enumerate(taps):
+                        if h != 0.0:
+                            y += np.multiply(h, t[:, ncp - lag : ncp - lag + n], out=s)
+                    if config.include_noise:
+                        np.multiply(normals[2, lo:hi], noise_scale, out=s.real)
+                        np.multiply(normals[3, lo:hi], noise_scale, out=s.imag)
+                        y += s
+                    sink(j, (first + lo) * n, y)
+
+    if workers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for done in [pool.submit(run, w) for w in range(workers)]:
+                done.result()
 
 
 def simulate_frames(config, xi, scenario, channel=None):
@@ -152,68 +245,58 @@ def simulate_frames(config, xi, scenario, channel=None):
     Frames run in batches of 512, each drawing from its own counter-based
     stream and writing only its own rows of the result, so the batches run
     on a thread pool with one worker per usable CPU (at most one per batch).
-    Each worker reuses one buffer set allocated by the calling thread. The
-    output is byte-identical to a serial run, whatever the worker count.
+    The output is byte-identical to a serial run, whatever the worker count.
     """
-    xi = float(check_loading(xi))
-    if channel is None:
-        channel = ChannelProfile.flat()
-    taps = np.asarray(channel.taps, dtype=complex)
-    if config.cp_length < channel.n_taps:
-        raise ValueError("cyclic prefix shorter than the channel delay spread")
-    n = config.n_subcarriers
-    ncp = config.cp_length
-    p_in = xi * scenario.p_max_in
-    sig_scale = math.sqrt(p_in / 2.0)
-    noise_scale = math.sqrt(scenario.noise_variance / 2.0)
-    out = np.empty(config.n_frames * n, dtype=complex)
-    rows = min(_BATCH_FRAMES, config.n_frames)
-    n_batches = (config.n_frames + _BATCH_FRAMES - 1) // _BATCH_FRAMES
-    workers = min(_usable_cpus(), n_batches)
-    # per worker: Gaussian draw and limiter gain (float), symbols, prefixed block
-    buffers = [
-        (
-            np.empty((rows, n)),
-            np.empty((rows, n)),
-            np.empty((rows, n), dtype=complex),
-            np.empty((rows, ncp + n), dtype=complex),
-        )
-        for _ in range(workers)
-    ]
+    out = np.empty(config.n_frames * config.n_subcarriers, dtype=complex)
 
-    def run(worker):
-        # batches worker, worker + workers, ...; calls no traced function,
-        # since the benchmark's span stack is not thread-safe
-        draw, gain, sym, tx = buffers[worker]
-        for b in range(worker, n_batches, workers):
-            first = b * _BATCH_FRAMES
-            frames = min(_BATCH_FRAMES, config.n_frames - first)
-            rng = _batch_stream(config.seed, b)
-            d, s, t = draw[:frames], sym[:frames], tx[:frames]
-            _fill_gaussian(rng, sig_scale, d, s)
-            np.fft.ifft(s, norm="ortho", axis=1, out=s)
-            _apply_pa(s, config, scenario, d, gain[:frames])
-            t[:, ncp:] = s
-            t[:, :ncp] = s[:, n - ncp :]
-            # linear convolution with the taps via shifted adds, kept only past
-            # the prefix; with ncp >= L-1 this equals circular convolution of
-            # the prefix-free block. Each output column sums its lags in tap order.
-            rx = out[first * n : (first + frames) * n].reshape(frames, n)
-            rx.fill(0.0)
-            for lag, h in enumerate(taps):
-                if h != 0.0:
-                    rx += np.multiply(h, t[:, ncp - lag : ncp - lag + n], out=s)
-            if config.include_noise:
-                _fill_gaussian(rng, noise_scale, d, s)
-                rx += s
+    def write(_j, start, rx):
+        out[start : start + rx.size] = rx.ravel()
 
-    if workers == 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for done in [pool.submit(run, w) for w in range(workers)]:
-                done.result()
+    _run_chain(config, [xi], scenario, channel, write)
     return out
+
+
+def _link_radii(config, xis, scenario, channel):
+    """|y| and the phase sums of the received samples of each loading of xis.
+
+    Returns one array of n_frames * N magnitudes per loading, in sample
+    order, and the (loadings, blocks, _PHASE_HARMONICS) phase sums of each
+    _BLOCK_SAMPLES block, as _radii gives them for simulate_frames' samples
+    of that loading. No complex sample array is kept.
+    """
+    size = config.n_frames * config.n_subcarriers
+    radii = [np.empty(size) for _ in xis]
+    slots = np.empty((len(xis), -(-size // _BLOCK_SAMPLES), _PHASE_HARMONICS), dtype=complex)
+
+    def keep(j, start, rx):
+        # start is a multiple of _BLOCK_SAMPLES and rx is a whole number of
+        # blocks unless it ends the samples, so these are _radii's blocks
+        z = rx.ravel()
+        r = np.abs(z, out=radii[j][start : start + z.size])
+        for lo in range(0, z.size, _BLOCK_SAMPLES):
+            hi = lo + _BLOCK_SAMPLES
+            _phase_sums(z[lo:hi], r[lo:hi], slots[j, (start + lo) // _BLOCK_SAMPLES])
+
+    _run_chain(config, xis, scenario, channel, keep)
+    return radii, slots
+
+
+def _link_statistics(config, xis, scenario, channel=None):
+    """(KS distance, radial MI estimate) of each loading of xis, in order.
+
+    Each pair equals radial_statistics(simulate_frames(config, xi, scenario,
+    channel), xi, scenario) bit for bit, errors included. The loadings run
+    through the chain in groups of up to _GROUP_LOADINGS on one set of
+    draws, keeping only |y| and the phase sums; the statistics then run on
+    the calling thread, one loading at a time, sorting its |y| in place.
+    A generator: each group is simulated when its first pair is asked for.
+    """
+    for first in range(0, len(xis), _GROUP_LOADINGS):
+        group = xis[first : first + _GROUP_LOADINGS]
+        radii, slots = _link_radii(config, group, scenario, channel)
+        for j, xi in enumerate(group):
+            r, radii[j] = radii[j], None
+            yield _radial_statistics(r, slots[j], xi, scenario)
 
 
 def _kth_neighbor_distances(pts, k):
@@ -263,20 +346,25 @@ def estimate_mi(samples, scenario):
     return h_bits - noise_entropy(scenario)
 
 
-def _check_circular(y):
-    # n*|mean(e^{ik*phase})|^2 for k = 1..4, summed in fixed blocks so no
-    # n-sized phase array exists; a zero sample has no phase and adds nothing
-    n = y.size
+def _phase_sums(z, r, slot):
+    # slot[k-1] = sum of e^{ik*phase} over the samples z, k = 1..4, given
+    # r = |z|; a zero sample has no phase and adds nothing. An infinite
+    # sample gives nan, which the finiteness check reports first.
+    with np.errstate(invalid="ignore"):
+        unit = z / np.where(r > 0.0, r, np.inf)
+    power = unit.copy()
+    slot[0] = power.sum()
+    for k in range(1, _PHASE_HARMONICS):
+        power *= unit
+        slot[k] = power.sum()
+
+
+def _check_circular(slots, n):
+    # n*|mean(e^{ik*phase})|^2 for k = 1..4, from the blocks' phase sums
+    # added in block order
     sums = np.zeros(_PHASE_HARMONICS, dtype=complex)
-    for start in range(0, n, _BLOCK_SAMPLES):
-        z = y[start : start + _BLOCK_SAMPLES]
-        mag = np.abs(z)
-        mag[mag == 0.0] = np.inf
-        z = z / mag
-        power = np.ones_like(z)
-        for k in range(_PHASE_HARMONICS):
-            power *= z
-            sums[k] += power.sum()
+    for slot in slots:
+        sums += slot
     stat = np.abs(sums) ** 2 / n
     worst = int(np.argmax(stat))
     if stat[worst] > _PHASE_STAT_MAX:
@@ -286,25 +374,30 @@ def _check_circular(y):
         )
 
 
-def _sorted_magnitudes(samples):
-    # the samples, flat, and their magnitudes in ascending order
+def _radii(samples):
+    # |samples|, flat and in sample order, and the _phase_sums of each
+    # _BLOCK_SAMPLES block of them
     y = np.asarray(samples).ravel()
     r = np.abs(y)
-    r.sort()
-    return y, r
+    slots = np.empty((-(-y.size // _BLOCK_SAMPLES), _PHASE_HARMONICS), dtype=complex)
+    for i, lo in enumerate(range(0, y.size, _BLOCK_SAMPLES)):
+        hi = lo + _BLOCK_SAMPLES
+        _phase_sums(y[lo:hi], r[lo:hi], slots[i])
+    return r, slots
 
 
-def _mi_from_sorted(y, r, scenario):
-    # estimate_mi_radial of y, given r = sorted |y|, which is squared in place;
-    # squaring keeps the order, so r*r is bit for bit the sorted |y|^2
-    n = y.size
+def _mi_from_sorted(r, slots, scenario):
+    # estimate_mi_radial, given r = sorted |y|, which is squared in place,
+    # and the phase sums of y; squaring keeps the order, so r*r is bit for
+    # bit the sorted |y|^2
+    n = r.size
     if n < 100:
         raise EstimatorError("too few samples for a stable entropy estimate")
     u = np.multiply(r, r, out=r)
     # the sort puts inf and nan last, so the largest entry decides finiteness
     if not np.isfinite(u[-1]):
         raise EstimatorError("non-finite samples")
-    _check_circular(y)
+    _check_circular(slots, n)
     m = round(math.sqrt(n))
     spacing = u[2 * m :] - u[: n - 2 * m]
     low = u[m : 2 * m] - u[0]
@@ -330,8 +423,9 @@ def estimate_mi_radial(samples, scenario):
     non-finite samples, on a sample that fails the phase check, and on tied
     magnitudes (a zero m-spacing).
     """
-    y, r = _sorted_magnitudes(samples)
-    return _mi_from_sorted(y, r, scenario)
+    r, slots = _radii(samples)
+    r.sort()
+    return _mi_from_sorted(r, slots, scenario)
 
 
 def analytic_radial_cdf(xi, scenario):
@@ -359,13 +453,12 @@ def _ks_from_sorted(r, xi, scenario):
     if r.size == 0:
         raise EstimatorError("no samples")
     grid, cdf = analytic_radial_cdf(xi, scenario)
-    f_at = np.interp(r, grid, cdf, left=0.0, right=1.0)
     n = r.size
-    # sup of (i+1)/n - F_i and F_i - i/n over i = 0..n-1, in blocks so that
-    # no n-sized ramp exists
+    # sup of (i+1)/n - F_i and F_i - i/n over i = 0..n-1, with F_i the
+    # analytic CDF at r[i], in blocks so that no n-sized array exists
     upper = lower = -math.inf
     for start in range(0, n, _BLOCK_SAMPLES):
-        f = f_at[start : start + _BLOCK_SAMPLES]
+        f = np.interp(r[start : start + _BLOCK_SAMPLES], grid, cdf, left=0.0, right=1.0)
         i = np.arange(start, start + f.size, dtype=float)
         upper = max(upper, np.max((i + 1.0) / n - f))
         lower = max(lower, np.max(f - i / n))
@@ -374,7 +467,17 @@ def _ks_from_sorted(r, xi, scenario):
 
 def empirical_pdf_distance(samples, xi, scenario):
     """Kolmogorov-Smirnov distance between |samples| and the analytic law."""
-    return _ks_from_sorted(_sorted_magnitudes(samples)[1], xi, scenario)
+    r = np.abs(np.asarray(samples).ravel())
+    r.sort()
+    return _ks_from_sorted(r, xi, scenario)
+
+
+def _radial_statistics(r, slots, xi, scenario):
+    # radial_statistics, given the magnitudes r, which are sorted and then
+    # squared in place, and their phase sums
+    r.sort()
+    ks = _ks_from_sorted(r, xi, scenario)
+    return ks, _mi_from_sorted(r, slots, scenario)
 
 
 def radial_statistics(samples, xi, scenario):
@@ -384,9 +487,7 @@ def radial_statistics(samples, xi, scenario):
     scenario) followed by estimate_mi_radial(samples, scenario), which sort
     the magnitudes once each.
     """
-    y, r = _sorted_magnitudes(samples)
-    ks = _ks_from_sorted(r, xi, scenario)
-    return ks, _mi_from_sorted(y, r, scenario)
+    return _radial_statistics(*_radii(samples), xi, scenario)
 
 
 def verify_multipath_bound(config, xi, scenario, channel):

@@ -122,11 +122,13 @@ def rapp(amplitude, params):
     two_p = 2.0 * params.p
     t = math.sqrt(params.gain) * a / params.b_sat
     # factor t out of the root above t = 1 so neither branch can overflow:
-    # t (1 + t^2p)^(-1/2p) = (1 + t^-2p)^(-1/2p) for t > 0
-    with np.errstate(over="ignore", under="ignore"):
-        low = t * (1.0 + t**two_p) ** (-1.0 / two_p)
-        t_safe = np.where(t > 1.0, t, 1.0)
-        high = (1.0 + t_safe**-two_p) ** (-1.0 / two_p)
+    # t (1 + t^2p)^(-1/2p) = (1 + t^-2p)^(-1/2p) for t > 0. Each branch sees
+    # only its own t, so t = inf never meets the low branch's inf * 0.
+    t_low = np.minimum(t, 1.0)
+    t_high = np.maximum(t, 1.0)
+    with np.errstate(under="ignore"):
+        low = t_low * (1.0 + t_low**two_p) ** (-1.0 / two_p)
+        high = (1.0 + t_high**-two_p) ** (-1.0 / two_p)
     return scalar_like(amplitude, params.b_sat * np.where(t <= 1.0, low, high))
 
 

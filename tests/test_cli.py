@@ -399,11 +399,22 @@ class TestMcValidate:
         assert mi == "%.12g" % estimate_mi_radial(y, scenario)
 
     @staticmethod
-    def assert_rejected_before_simulating(capsys, monkeypatch, argv, named):
+    def refuse_to_simulate(monkeypatch):
         def simulate(*args):
             raise AssertionError("simulated despite an invalid argument")
 
-        monkeypatch.setattr(cli, "simulate_frames", simulate)
+        monkeypatch.setattr(cli, "_link_statistics", simulate)
+
+    def test_a_valid_run_reaches_the_refused_simulator(self, capsys, monkeypatch):
+        # so the rejections below are made before mc-validate simulates
+        self.refuse_to_simulate(monkeypatch)
+        code, out, err = run(capsys, "mc-validate", "--samples", "2000", "--n-sub", "128")
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == "simulated despite an invalid argument"
+
+    @classmethod
+    def assert_rejected_before_simulating(cls, capsys, monkeypatch, argv, named):
+        cls.refuse_to_simulate(monkeypatch)
         code, out, err = run(capsys, "mc-validate", *argv)
         assert code == 2 and out == ""
         record = json.loads(err)
@@ -559,6 +570,56 @@ class TestRegistry:
             main([command, "--config", str(cfg)])
         assert exc.value.code == 2
         assert f"unrecognized arguments: --{key} x" in capsys.readouterr().err
+
+
+# each subcommand's options in --help order
+HELP_OPTIONS = {
+    "se-sweep": ["--pa", "--xi-grid"],
+    "ee-sweep": ["--pa", "--bs-type", "--xi-grid", "--n-ways"],
+    "tradeoff": ["--pa", "--bs-type", "--xi-grid", "--n-ways"],
+    "optimal-xi": ["--pa", "--bs-type", "--n-ways"],
+    "pas-frontier": ["--bs-type", "--xi-grid", "--n-ways"],
+    "mc-validate": ["--pa", "--seed"],
+}
+LINK_OPTIONS = ["--g-db", "--alpha", "--d-km", "--noise-psd", "--bandwidth"]
+OWN_OPTIONS = {
+    "pas-frontier": [
+        "--pa-low", "--pa-high", "--frames", "--frame-length", "--duplex", "--eps", "--gs-db",
+        "--xi-mode", "--targets",
+    ],
+    "mc-validate": ["--xi", "--samples", "--n-sub", "--cp"],
+}
+
+
+class TestHelp:
+    @staticmethod
+    def option_lines(capsys, monkeypatch, command):
+        # the --help line of each option, by option, with its spacing folded;
+        # wide enough that no help text wraps
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        return {words[0]: " ".join(words) for words in lines if words and words[0].startswith("--")}
+
+    @pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+    def test_link_flags_follow_the_output_flags(self, capsys, monkeypatch, command):
+        options = list(self.option_lines(capsys, monkeypatch, command))
+        want = ["--config", *HELP_OPTIONS[command], "--out", "--format", *LINK_OPTIONS]
+        assert options == want + OWN_OPTIONS.get(command, [])
+
+    def test_datasheet_output_flags_read_as_everywhere(self, capsys, monkeypatch):
+        # declared once: datasheet's --config, --out and --format lines are
+        # se-sweep's, and --config and --out carry their help text
+        sheet = self.option_lines(capsys, monkeypatch, "datasheet")
+        sweep = self.option_lines(capsys, monkeypatch, "se-sweep")
+        assert list(sheet) == ["--config", "--file", "--out", "--format"]
+        for flag in ("--config", "--out", "--format"):
+            assert sheet[flag] == sweep[flag]
+        assert sheet["--config"] == "--config CONFIG key=value config file"
+        assert sheet["--out"] == "--out OUT output path"
+        assert sheet["--file"].startswith("--file FILE CSV datasheet to load")
 
 
 class TestParsing:

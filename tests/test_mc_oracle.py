@@ -1,5 +1,6 @@
 """OFDM link simulator and its statistical estimators."""
 
+import contextlib
 import math
 import sys
 
@@ -72,6 +73,22 @@ def serial_chain(config, xi, scenario, taps):
             rx = rx + gaussian(rng, noise_scale, (frames, n))
         blocks.append(rx.ravel())
     return np.concatenate(blocks)
+
+
+@contextlib.contextmanager
+def forced_workers(monkeypatch, workers):
+    """The simulator's worker count forced; with more workers than cores,
+    threads switch about every microsecond."""
+    monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+TAPS = {"flat": (1.0,), "3-tap": (0.8, 0.5j, -0.2 + 0.1j)}
 
 
 class TestFrameConfig:
@@ -178,20 +195,91 @@ class TestSimulateFrames:
     def test_equals_the_serial_chain(
         self, scenario, monkeypatch, workers, pa_model, channel, include_noise
     ):
-        # 1100 frames are three batches, the last one partial; the pool's
-        # worker count is forced, and more workers than cores switch often
-        taps = {"flat": (1.0,), "3-tap": (0.8, 0.5j, -0.2 + 0.1j)}[channel]
+        # 1100 frames are three batches, the last one partial
+        taps = TAPS[channel]
         if pa_model == "rapp":
             pa_model = RappParams(scenario.gain, scenario.b_max, 2.0)
         cfg = FrameConfig(64, 4, 1100, seed=2024, pa_model=pa_model, include_noise=include_noise)
-        monkeypatch.setattr(mc_oracle, "_usable_cpus", lambda: workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
+        with forced_workers(monkeypatch, workers):
             got = simulate_frames(cfg, 0.6, scenario, ChannelProfile(taps=taps))
-        finally:
-            sys.setswitchinterval(interval)
         assert np.array_equal(got, serial_chain(cfg, 0.6, scenario, taps))
+
+
+class TestLinkStatistics:
+    """mc-validate's loadings on shared draws against one run per loading."""
+
+    XIS = (0.05, 0.3, 0.9)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "pa_model, channel",
+        [("soft_limiter", "flat"), ("soft_limiter", "3-tap"), ("rapp", "3-tap"), ("bypass", "flat")],
+    )
+    def test_each_loading_equals_its_own_run(self, scenario, monkeypatch, workers, pa_model, channel):
+        # 1100 frames of 64 subcarriers are three batches, the last one partial
+        if pa_model == "rapp":
+            pa_model = RappParams(scenario.gain, scenario.b_max, 2.0)
+        cfg = FrameConfig(64, 4, 1100, seed=2024, pa_model=pa_model)
+        prof = ChannelProfile(taps=TAPS[channel])
+        with forced_workers(monkeypatch, workers):
+            got = list(mc_oracle._link_statistics(cfg, self.XIS, scenario, prof))
+        want = [
+            radial_statistics(simulate_frames(cfg, xi, scenario, prof), xi, scenario)
+            for xi in self.XIS
+        ]
+        assert got == want
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "n_sub, frames, channel", [(64, 1100, "flat"), (64, 1100, "3-tap"), (32768, 3, "3-tap")]
+    )
+    def test_noiseless_magnitudes_and_phase_sums(
+        self, scenario, monkeypatch, workers, n_sub, frames, channel
+    ):
+        # without noise the limiter's flat top ties magnitudes, which the MI
+        # estimate rejects; the magnitudes and phase sums are still each
+        # run's. A frame of 32768 samples is a sub-block of two blocks.
+        cfg = FrameConfig(n_sub, 4, frames, seed=2024, include_noise=False)
+        prof = ChannelProfile(taps=TAPS[channel])
+        with forced_workers(monkeypatch, workers):
+            radii, slots = mc_oracle._link_radii(cfg, self.XIS, scenario, prof)
+        for j, xi in enumerate(self.XIS):
+            r, want_slots = mc_oracle._radii(simulate_frames(cfg, xi, scenario, prof))
+            assert np.array_equal(radii[j], r)
+            assert np.array_equal(slots[j], want_slots)
+
+    def test_five_loadings_take_two_groups(self, scenario, monkeypatch):
+        groups = []
+        run_chain = mc_oracle._run_chain
+
+        def counted(config, xis, *args):
+            groups.append(list(xis))
+            return run_chain(config, xis, *args)
+
+        monkeypatch.setattr(mc_oracle, "_run_chain", counted)
+        cfg = FrameConfig(128, 8, 600, seed=99)
+        xis = [0.05, 0.1, 0.2, 0.4, 0.7]
+        got = list(mc_oracle._link_statistics(cfg, xis, scenario))
+        assert groups == [xis[:4], xis[4:]]
+        assert got == [next(mc_oracle._link_statistics(cfg, [xi], scenario)) for xi in xis]
+
+    def test_non_circular_link_fails_as_radial_statistics_does(self, scenario, monkeypatch):
+        # halving the quadrature part after the amplifier breaks the
+        # circular symmetry at harmonic 2; the phase sums kept by the workers
+        # must give the error that the samples give
+        apply_pa = mc_oracle._apply_pa
+
+        def skewed(x, *args):
+            apply_pa(x, *args)
+            x.imag *= 0.5
+
+        monkeypatch.setattr(mc_oracle, "_apply_pa", skewed)
+        cfg = FrameConfig(64, 4, 1100, seed=7)
+        with pytest.raises(EstimatorError, match="k=2") as shared:
+            list(mc_oracle._link_statistics(cfg, [0.3], scenario))
+        with pytest.raises(EstimatorError) as alone:
+            radial_statistics(simulate_frames(cfg, 0.3, scenario), 0.3, scenario)
+        assert str(shared.value) == str(alone.value)
 
 
 class TestRadialCdfAndKs:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ class TestRapp:
 
     def test_empty_amplitudes_pass(self):
         assert rapp(np.array([]), RappParams(gain=100.0, b_sat=2.0)).shape == (0,)
+
+    def test_infinite_amplitude_saturates_without_a_warning(self):
+        params = RappParams(gain=100.0, b_sat=2.0, p=2.0)
+        mixed = np.array([0.0, math.inf, 0.05, 0.2, 0.21, math.inf, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rapp(mixed, params)
+            assert rapp(math.inf, params) == 2.0
+        # the finite entries keep the bits of both branches evaluated everywhere
+        a = mixed[np.isfinite(mixed)]
+        t = 10.0 * a / 2.0
+        with np.errstate(over="ignore", under="ignore"):
+            low = t * (1.0 + t**4.0) ** -0.25
+            high = (1.0 + np.where(t > 1.0, t, 1.0) ** -4.0) ** -0.25
+        assert np.array_equal(got[np.isfinite(mixed)], 2.0 * np.where(t <= 1.0, low, high))
+        assert np.all(got[np.isinf(mixed)] == 2.0)
 
 
 class TestClipProbability:
