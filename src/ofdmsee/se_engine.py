@@ -8,6 +8,12 @@ multipath lower bound via the equivalent combined channel.
 
 Radial convention: densities are over the complex plane, evaluated at radius
 r = |y|; masses are recovered as integral of 2*pi*r*f(r).
+
+The density has one body, _density (with its branches _unclipped and
+_clipped), which checks nothing: the public pdf_unclipped, pdf_clipped and
+pdf_radial check their radii and loadings once and call it, and the entropy
+quadrature calls it directly on a batch of loadings, whose constants (T, the
+a/r scale, b and the clip weight) it takes once per batch.
 """
 
 import contextlib
@@ -22,7 +28,7 @@ from ._common import (
 )
 from .pa_models import clip_probability
 from .specfun import (
-    IntegrationError, WBranch, _GK15, _gauss_panel_rows, bessel_i0e, lambert_w, marcum_q1_complement
+    IntegrationError, WBranch, _GK15, _gauss_panel_rows, _kernel_where, _marcum_core, bessel_i0e, lambert_w
 )
 
 __all__ = [
@@ -160,6 +166,74 @@ def _as_radii(r):
     return arr
 
 
+def _loading_constants(xi, scenario):
+    """(T, a/r scale, b, clip weight) of the density at loading xi, each a float
+    for a float xi, else an array over the loadings of the array xi.
+
+    T = gp + sigma^2 (gp the signal power), a = r sqrt(2 gp / (T sigma^2)),
+    b = b_max sqrt(2 T / (gp sigma^2)), and the clipped branch's weight
+    Pr[clip] / (pi sigma^2).
+    """
+    sqrt = math.sqrt if isinstance(xi, float) else np.sqrt
+    s2 = scenario.noise_variance
+    gp = scenario.signal_power(xi)
+    total = gp + s2
+    return (
+        total,
+        sqrt(2.0 * gp / (total * s2)),
+        scenario.b_max * sqrt(2.0 * total / (gp * s2)),
+        clip_probability(xi) / (math.pi * s2),
+    )
+
+
+def _unclipped(r, rows, loading):
+    # the unclipped density at the 1-D radii r, unchecked: loading holds
+    # _loading_constants of one float loading (rows None) or of an array of
+    # them, radius i at loading rows[i]; the lattices of the Marcum complement
+    # are the loadings
+    total, scale, b, _ = loading
+    if rows is not None:
+        total, scale = total[rows], scale[rows]
+    gauss = np.exp(-(r**2) / total) / (math.pi * total)
+    return gauss * _marcum_core(r * scale, b, rows)
+
+
+def _clipped(r, rows, loading, scenario):
+    # the clipped density at the 1-D radii r, unchecked, as _unclipped takes
+    # them; zeros when every clip weight is 0.0
+    weight = loading[3]
+    if not (weight if rows is None else weight.any()):
+        return np.zeros(r.shape)
+    if rows is not None:
+        weight = weight[rows]
+    s2, bmax = scenario.noise_variance, scenario.b_max
+    gauss = np.exp(-((r - bmax) ** 2) / s2)
+    return weight * gauss * _kernel_where(bessel_i0e, 2.0 * bmax * r / s2, gauss)
+
+
+def _density(r, rows, loading, scenario):
+    # the received density, both branches: the core of pdf_radial and of the
+    # entropy quadrature
+    return _unclipped(r, rows, loading) + _clipped(r, rows, loading, scenario)
+
+
+def _checked(branch, r, xi, scenario):
+    # a density branch at radii r and loading xi, each checked once: xi a
+    # scalar, or an array that broadcasts to r's shape, whose distinct
+    # loadings are the rows of the branch
+    xi = check_loading(xi)
+    rr = _as_radii(r)
+    if np.ndim(xi) == 0:
+        rows, loading = None, _loading_constants(float(xi), scenario)
+    else:
+        rr, xi = np.broadcast_arrays(rr, xi)
+        loadings, rows = np.unique(xi.ravel(), return_inverse=True)
+        loading = _loading_constants(loadings, scenario)
+    with np.errstate(under="ignore"):
+        out = branch(rr.ravel(), rows, loading)
+    return scalar_like(r, out.reshape(rr.shape))
+
+
 def pdf_unclipped(r, xi, scenario):
     """Unclipped-branch density at radius r, at loading xi (a scalar, or an
     array that broadcasts to r's shape: one loading per radius).
@@ -172,21 +246,13 @@ def pdf_unclipped(r, xi, scenario):
     the truncation multiplies it by the Marcum Q1 complement 1 - Q1(a, b)
     with a = r sqrt(2 gp / (T sigma^2)) and b = b_max sqrt(2 T / (gp sigma^2)).
 
-    That complement (specfun.marcum_q1_complement) is the one evaluation
-    path: one cumulative integral over the noncentrality per call. It is
-    exactly 1 on interior radii, whose ridge lies more than 9 of its widths
-    below b_max (b - a > 9, where Q1 <= exp(-(b - a)^2 / 2) rounds away), so
-    there the density is the Gaussian itself.
+    That complement (specfun's Marcum core, with one lattice per loading) is
+    the one evaluation path: one cumulative integral over the noncentrality
+    per call. It is exactly 1 on interior radii, whose ridge lies more than 9
+    of its widths below b_max (b - a > 9, where Q1 <= exp(-(b - a)^2 / 2)
+    rounds away), so there the density is the Gaussian itself.
     """
-    xi = check_loading(xi)
-    rr = _as_radii(r)
-    gp = scenario.signal_power(xi)
-    s2 = scenario.noise_variance
-    total = gp + s2
-    a = rr * np.sqrt(2.0 * gp / (total * s2))
-    b = scenario.b_max * np.sqrt(2.0 * total / (gp * s2))
-    out = np.exp(-(rr**2) / total) / (math.pi * total) * marcum_q1_complement(a, b)
-    return scalar_like(r, out)
+    return _checked(_unclipped, r, xi, scenario)
 
 
 # the benchmark's layer tracer (perfbench/tracer.py) looks this name up; it
@@ -203,21 +269,13 @@ def pdf_clipped(r, xi, scenario):
     probability. Exponents are folded with the scaled Bessel function so the
     evaluation never overflows; a zero weight (xi below ~1/745) skips it.
     """
-    s2 = scenario.noise_variance
-    weight = clip_probability(xi) / (math.pi * s2)
-    rr = _as_radii(r)
-    bmax = scenario.b_max
-    if not np.any(weight):
-        return scalar_like(r, np.zeros(np.broadcast_shapes(np.shape(weight), rr.shape)))
-    with np.errstate(under="ignore"):
-        out = weight * np.exp(-((rr - bmax) ** 2) / s2) * bessel_i0e(2.0 * bmax * rr / s2)
-    return scalar_like(r, out)
+    return _checked(lambda rr, rows, loading: _clipped(rr, rows, loading, scenario), r, xi, scenario)
 
 
 def pdf_radial(r, xi, scenario):
     """Total received density at radius r (both branches), at loading xi (a
     scalar, or an array that broadcasts to r's shape)."""
-    return pdf_unclipped(r, xi, scenario) + pdf_clipped(r, xi, scenario)
+    return _checked(lambda rr, rows, loading: _density(rr, rows, loading, scenario), r, xi, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +326,11 @@ def _entropy_edges(xi, scenario):
     gap = ring_lo > bulk_hi
     s, t, lo, hi = _BULK_GAP_RING if gap else _BULK_AND_RING
     edges = s * knots[lo] + t * knots[hi]
-    return edges if gap else np.unique(edges)
+    if gap:
+        return edges
+    # overlapping segments: sorted, each repeated edge once
+    edges.sort()
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
 def _entropies(xis, scenario):
@@ -278,19 +340,26 @@ def _entropies(xis, scenario):
 
     The quadrature of entropy_y, run on _BATCH_LOADINGS loadings at a time:
     each loading keeps its own panels and its own tolerance check, and one
-    density call per pass serves every loading of the batch, both rules.
+    call of the density core per pass serves every loading of the batch,
+    both rules. Each loading's constants are taken once per batch, as floats
+    for a batch of one; the loadings are the lattices of the Marcum
+    complement, and no argument is checked again.
     """
     out = []
     for start in range(0, len(xis), _BATCH_LOADINGS):
-        batch = np.asarray(xis[start : start + _BATCH_LOADINGS], dtype=float)
+        batch = xis[start : start + _BATCH_LOADINGS]
+        one = len(batch) == 1
+        loading = _loading_constants(batch[0] if one else np.asarray(batch), scenario)
 
         def integrand(radii, rows):
-            f = pdf_radial(radii, batch[rows], scenario)
+            f = _density(radii, None if one else rows, loading, scenario)
             logf = np.log(np.where(f > 0.0, f, 1.0))
             return -2.0 * math.pi * radii * f * logf
 
-        edge_rows = [_entropy_edges(float(x), scenario) for x in batch]
-        for h in _gauss_panel_rows(integrand, edge_rows, rule=_GK15, tol=ENTROPY_TOL * LN2):
+        edge_rows = [_entropy_edges(x, scenario) for x in batch]
+        with np.errstate(under="ignore"):
+            quadrature = _gauss_panel_rows(integrand, edge_rows, rule=_GK15, tol=ENTROPY_TOL * LN2)
+        for h in quadrature:
             if isinstance(h, IntegrationError):
                 h.estimate, h.error_bound = h.estimate / LN2, h.error_bound / LN2
                 out.append(h)

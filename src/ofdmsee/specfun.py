@@ -8,18 +8,27 @@ an embedded error check for vectorized integrands (a Gauss-Legendre pair, or
 the Gauss-Kronrod 7/15 pair of the entropy quadrature), one integral at a
 time or a batch of them from one call of the integrand per pass. The Marcum
 Q1 complement is the package's one Bessel-kernel integral: the unclipped
-received density in se_engine is a Gaussian times it. gauss_panels, one
-integral by the Gauss-Legendre pair, has no caller in the package and is not
-exported: the tests use it as an independent quadrature.
+received density in se_engine is a Gaussian times it. Its body,
+_marcum_core, takes the lattice grouping from its caller (the b of each
+lattice, and each row's lattice): marcum_q1_complement checks its arguments
+and groups them by b, se_engine's density core passes one lattice per
+loading. Each call evaluates every lattice panel and every row's partial
+panel in one pass of the I1 kernel. gauss_panels, one integral by the
+Gauss-Legendre pair, has no caller in the package and is not exported: the
+tests use it as an independent quadrature.
 
 The two Bessel kernels sum the Hankel expansion from argument 50 up, within
 3 ulp of scipy.special's i0e and i1e, and call those ufuncs below 50.
 Importing scipy.special takes about a quarter second, so the kernels import
 it on the first call with an argument below 50, and a run whose arguments
-all lie above never loads it.
+all lie above never loads it. Where a kernel value is multiplied by a
+Gaussian factor, a call holding an argument below 50 evaluates the kernel
+only where that factor is nonzero (_kernel_where), so a run whose small
+arguments all meet factors of exactly 0 never loads it either.
 """
 
 import enum
+import itertools
 import math
 
 import numpy as np
@@ -154,13 +163,119 @@ _PANEL_NODES = 8
 # exp(-(b - a)^2 / 2) < 3e-18 there, below half an ulp of 1.0 (2^-54)
 _ONE_CUT = 9.0
 
-# rows per block of partial panels, so their temporaries stay small
+# the Marcum core's kernel pass runs in chunks of _CHUNK elements, the nodes
+# of _BLOCK_ROWS panels, so that its temporaries stay small
 _BLOCK_ROWS = 512
+_CHUNK = _BLOCK_ROWS * _PANEL_NODES
+
+# the lattice's top, b + 40, in panels: the integrand underflows above; and
+# the lowest panel its node table starts from: a + 9 >= b puts a - b at -9 or
+# above, up to rounding, so a row's partial panel ends at t_k, k >= -18
+_TOP = int(40.0 / _PANEL_H)
+_BOTTOM = -int(_ONE_CUT / _PANEL_H) - 2
 
 
-def _dq1(b, u):
-    # dQ1/dt = b exp(-u^2/2) i1e(b (b + u)) at t = b + u; b broadcasts against u
-    return b * np.exp(-0.5 * u * u) * bessel_i1e(b * (b + u))
+def _lattice(k0):
+    # the panels' Gauss-Legendre nodes and weights on [-1, 1]; and the offsets
+    # u = t - b of the nodes of every lattice panel from t_k0 to the top, with
+    # their Gaussian factors exp(-u^2/2), each as (panel, node): rows of a
+    # table taken once, from _BOTTOM or any lower k0 asked for
+    table = _GL_CACHE.get("lattice")
+    if table is None or table[0] > k0:
+        bottom = min(k0, _BOTTOM)
+        x, w = _leggauss(_PANEL_NODES)
+        h2 = 0.5 * _PANEL_H
+        u = (np.arange(bottom, _TOP) * _PANEL_H + h2)[:, None] + h2 * x
+        table = _GL_CACHE["lattice"] = bottom, x, w, u, np.exp(-0.5 * u * u)
+    bottom, x, w, u, gauss = table
+    return x, w, u[k0 - bottom :], gauss[k0 - bottom :]
+
+
+def _kernel_where(kernel, x, factor):
+    # kernel(x), for a product factor * kernel(x): when x holds an argument
+    # below the Hankel range, the one case that imports scipy, the kernel runs
+    # only where the factor is nonzero and reads 0 elsewhere; the kernels are
+    # finite, so every product is the same float either way
+    if not x.size or x.min() >= _HANKEL_LO:
+        return kernel(x)
+    out = np.zeros(x.shape)
+    live = factor > 0.0
+    out[live] = kernel(x[live])
+    return out
+
+
+def _dq1(b, u, gauss):
+    # dQ1/dt = b exp(-u^2/2) i1e(b (b + u)) at t = b + u, given
+    # gauss = exp(-u^2/2); b broadcasts against u
+    return b * gauss * _kernel_where(bessel_i1e, b * (b + u), gauss)
+
+
+def _marcum_core(a, lattice_b, row_lattice):
+    """1 - Q1(a_i, b_i) for a 1-D array a >= 0, unchecked, with the lattice
+    grouping supplied by the caller: b_i is lattice_b, a float, when
+    row_lattice is None (one lattice), else lattice_b[row_lattice[i]].
+
+    marcum_q1_complement's body: rows with a_i + 9 < b_i read 1.0; the full
+    panels of every lattice that holds one of the other rows, and each of
+    those rows' partial panel, take one kernel pass, in chunks of _CHUNK
+    elements.
+    """
+    one = row_lattice is None
+    b_rows = lattice_b if one else lattice_b[row_lattice]
+    out = np.ones(a.shape)
+    edge = (a + _ONE_CUT >= b_rows).nonzero()[0]
+    if not edge.size:
+        return out
+    if not one:
+        # the lattices some edge row lies on, renumbered in order
+        b_rows, row_lattice = b_rows[edge], row_lattice[edge]
+        used = np.zeros(lattice_b.size, dtype=bool)
+        used[row_lattice] = True
+        if not used.all():
+            lattice_b, row_lattice = lattice_b[used], (np.cumsum(used) - 1)[row_lattice]
+    u = a[edge] - b_rows
+    # row i's partial panel ends at lattice point k[i], at most the top
+    k = np.minimum(np.floor(u / _PANEL_H).astype(int) + 1, _TOP)
+    k0 = int(k.min())
+    hi = np.maximum(u, k * _PANEL_H)
+    mid, half = 0.5 * (hi + u), 0.5 * (hi - u)
+    # one kernel pass, in chunks of _CHUNK elements, over the nodes of every
+    # full panel from t_k0 to the top, per lattice as (lattice, panel, node),
+    # then of each row's partial panel [a, t_k]: the lattice's offsets t - b
+    # and their Gaussian factors come from _lattice's table, and a chunk's
+    # partial panels are formed, and summed per row, within the chunk
+    x, w, lattice_u, lattice_gauss = _lattice(k0)
+    n_lattices = 1 if one else lattice_b.size
+    per_lattice = lattice_u.size
+    n_full = n_lattices * per_lattice
+    full_u, full_gauss, full_b = lattice_u.ravel(), lattice_gauss.ravel(), lattice_b
+    if not one:
+        full_u, full_gauss = np.tile(full_u, n_lattices), np.tile(full_gauss, n_lattices)
+        full_b = lattice_b.repeat(per_lattice)
+    full_vals = np.empty(n_full)
+    partial_sums = np.empty(u.size)
+    for start in range(0, n_full + u.size * _PANEL_NODES, _CHUNK):
+        lat = slice(start, min(start + _CHUNK, n_full))
+        rows = slice(max(start - n_full, 0) // _PANEL_NODES, max(start + _CHUNK - n_full, 0) // _PANEL_NODES)
+        row_u = (mid[rows, None] + half[rows, None] * x).ravel()
+        vals = _dq1(
+            full_b if one else np.concatenate([full_b[lat], b_rows[rows].repeat(_PANEL_NODES)]),
+            np.concatenate([full_u[lat], row_u]),
+            np.concatenate([full_gauss[lat], np.exp(-0.5 * row_u * row_u)]),
+        )
+        n_lat = max(lat.stop - start, 0)
+        full_vals[lat] = vals[:n_lat]
+        partial_sums[rows] = np.einsum("in,n->i", vals[n_lat:].reshape(-1, _PANEL_NODES), w)
+    # per lattice, each lattice point's sum of the full panels above it,
+    # taken top down; a row adds its partial panel to its point's sum
+    full = (0.5 * _PANEL_H) * np.einsum("bpn,n->bp", full_vals.reshape(n_lattices, -1, _PANEL_NODES), w)
+    above = np.zeros((n_lattices, _TOP - k0 + 1))
+    above[:, :-1] = full[:, ::-1].cumsum(axis=1)[:, ::-1]
+    c = above[0 if one else row_lattice, k - k0]
+    c += half * partial_sums
+    # a sum of positive panels, kept within [0, 1]
+    out[edge] = np.minimum(np.maximum(c, 0.0), 1.0)
+    return out
 
 
 def marcum_q1_complement(a, b):
@@ -171,9 +286,10 @@ def marcum_q1_complement(a, b):
     complements keep their relative accuracy. Panels of 8 nodes on the lattice
     t_k = b + k/2, which depends on b alone, run up to b + 40 (the integrand
     underflows above) and are summed from the top down, once per distinct b of
-    the call, all of them in one array pass; a row adds its partial panel
-    [a, t_k] (t_k the first lattice point above a) to the sum above t_k, so its
-    value does not depend on the other rows of the call. Where b - a > 9,
+    the call; a row adds its partial panel [a, t_k] (t_k the first lattice
+    point above a) to the sum above t_k, so its value does not depend on the
+    other rows of the call. Every lattice panel and every partial panel of the
+    call take one pass of the Bessel kernel. Where b - a > 9,
     Q1(a, b) <= exp(-(b - a)^2 / 2) < 3e-18, so 1 - Q1 rounds to 1.0, and the
     complement is exactly 1.0.
 
@@ -184,37 +300,9 @@ def marcum_q1_complement(a, b):
     bb = np.asarray(b, dtype=float)
     if not ((np.isfinite(arr) & (arr >= 0.0)).all() and (np.isfinite(bb) & (bb >= 0.0)).all()):
         raise ValueError("marcum_q1_complement requires finite a, b >= 0")
-    bb = np.broadcast_to(bb, np.shape(a)).ravel()
-    out = np.ones(arr.shape)
-    edge = np.flatnonzero(arr + _ONE_CUT >= bb)
-    if edge.size:
-        # the distinct b of the rows, and each row's index among them
-        lattice_b, row_b = np.unique(bb[edge], return_inverse=True)
-        b_rows = lattice_b[row_b]
-        u = arr[edge] - b_rows
-        top = int(40.0 / _PANEL_H)
-        # row i's partial panel ends at lattice point k[i], at most the top
-        k = np.minimum(np.floor(u / _PANEL_H).astype(int) + 1, top)
-        k0 = int(k.min())
-        x, w = _leggauss(_PANEL_NODES)
-        # every full panel from t_k0 to the top, for every b at once, as
-        # (b, panel, node); per b, each lattice point's sum of the panels
-        # above it, taken top down
-        h2 = 0.5 * _PANEL_H
-        nodes = (np.arange(k0, top) * _PANEL_H + h2)[:, None] + h2 * x
-        with np.errstate(under="ignore"):
-            full = h2 * np.einsum("bpn,n->bp", _dq1(lattice_b[:, None, None], nodes), w)
-            above = np.zeros((lattice_b.size, top - k0 + 1))
-            above[:, :-1] = np.cumsum(full[:, ::-1], axis=1)[:, ::-1]
-            c = above[row_b, k - k0]
-            # each row's partial panel [a, t_k], in blocks of rows
-            hi = np.maximum(u, k * _PANEL_H)
-            mid, half = 0.5 * (hi + u), 0.5 * (hi - u)
-            for start in range(0, edge.size, _BLOCK_ROWS):
-                rows = slice(start, start + _BLOCK_ROWS)
-                vals = _dq1(b_rows[rows, None], mid[rows, None] + half[rows, None] * x)
-                c[rows] += half[rows] * np.einsum("in,n->i", vals, w)
-        out[edge] = np.clip(c, 0.0, 1.0)
+    lattice_b, row_lattice = np.unique(np.broadcast_to(bb, np.shape(a)).ravel(), return_inverse=True)
+    with np.errstate(under="ignore"):
+        out = _marcum_core(arr, lattice_b, row_lattice)
     return scalar_like(a, out.reshape(np.shape(a)))
 
 
@@ -348,14 +436,15 @@ _G7_WEIGHTS = (
 
 
 def _gk15():
-    # (nodes, value weights, check weights) of the 15 nodes in ascending
-    # order: the Kronrod value checked by its embedded Gauss rule
+    # (nodes, weights) of the 15 nodes in ascending order, the weights as
+    # columns (value, check): the Kronrod value checked by its embedded Gauss
+    # rule
     half = np.asarray(_GK15_NODES)
     nodes = np.concatenate([-half[:-1], half[::-1]])
     kronrod = np.asarray(_GK15_WEIGHTS)
     gauss = np.zeros(15)
     gauss[1::2] = np.concatenate([_G7_WEIGHTS, _G7_WEIGHTS[-2::-1]])
-    return nodes, np.concatenate([kronrod[:-1], kronrod[::-1]]), gauss
+    return nodes, np.stack([np.concatenate([kronrod[:-1], kronrod[::-1]]), gauss], axis=1)
 
 
 # the entropy quadrature's rule: 15 integrand values per panel give the
@@ -364,14 +453,12 @@ _GK15 = _gk15()
 
 
 def _gauss_pair(order):
-    # (nodes, value weights, check weights): Gauss-Legendre at 1.5x the
+    # (nodes, weights as columns (value, check)): Gauss-Legendre at 1.5x the
     # order checked by Gauss-Legendre at the order, both nodes sets side by side
     t_lo, w_lo = _leggauss(order)
     t_hi, w_hi = _leggauss(order + order // 2)
-    return (
-        np.concatenate([t_lo, t_hi]),
-        np.concatenate([np.zeros(order), w_hi]),
-        np.concatenate([w_lo, np.zeros(t_hi.size)]),
+    return np.concatenate([t_lo, t_hi]), np.stack(
+        [np.concatenate([np.zeros(order), w_hi]), np.concatenate([w_lo, np.zeros(t_hi.size)])], axis=1
     )
 
 
@@ -412,32 +499,30 @@ def _gauss_panel_rows(f, edge_rows, rule, tol):
     over the panels of edge_rows[i] (strictly increasing), each row refined
     on its own.
 
-    rule is (nodes, value weights, check weights) on [-1, 1]; the value and
-    its check are two weightings of the same integrand values (_GK15, or
-    gauss_panels' Gauss pair). f(x, rows) gets the nodes of every panel of
+    rule is (nodes, weights) on [-1, 1], the weights an array of two columns:
+    the value and its check are two weightings of the same integrand values
+    (_GK15, or gauss_panels' Gauss pair). f(x, rows) gets the nodes of every panel of
     every row still open in one array, and for each abscissa the index of its
     row. A row's value and check are each summed over that row's panels
     alone, so its result is the one it gets integrated by itself. The default
     tol is 1e-9 * max(1, |check|). Returns one entry per row: the value, or
     the IntegrationError gauss_panels would raise.
     """
-    nodes = rule[0]
-    weights = np.stack(rule[1:], axis=1)
+    nodes, weights = rule
     edges = list(edge_rows)
     tols = [tol] * len(edges)
     out = [None] * len(edges)
     open_rows = list(range(len(edges)))
     for rnd in range(_MAX_REFINE + 1):
-        panels = np.asarray([edges[i].size - 1 for i in open_rows])
+        panels = [edges[i].size - 1 for i in open_rows]
         lo = np.concatenate([edges[i][:-1] for i in open_rows])
         hi = np.concatenate([edges[i][1:] for i in open_rows])
         half = 0.5 * (hi - lo)
         x = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
-        vals = f(x.ravel(), np.repeat(open_rows, panels * nodes.size)).reshape(x.shape)
+        vals = f(x.ravel(), np.repeat(open_rows, [n * nodes.size for n in panels])).reshape(x.shape)
         # each panel's value and check, then each row's sums over its panels
-        sums = np.add.reduceat(
-            half[:, None] * np.einsum("pn,nk->pk", vals, weights), np.cumsum(panels) - panels
-        )
+        first = list(itertools.accumulate(panels[:-1], initial=0))
+        sums = np.add.reduceat(half[:, None] * np.einsum("pn,nk->pk", vals, weights), first)
         still_open = []
         for i, (value, check) in zip(open_rows, sums.tolist()):
             if tols[i] is None:

@@ -3,7 +3,8 @@
 transmitter preset and every embedded datasheet row, for one amplifier and
 for a switching schedule that runs one of its two arms full time; and the
 exact SE and EE optima against a grid search. The exact SE of every link
-lies between two closed-form bounds."""
+lies between two closed-form bounds, and the density core that the SE
+quadrature runs on a batch of loadings gives each loading's pdf_radial."""
 
 import math
 import subprocess
@@ -42,7 +43,8 @@ from ofdmsee import (
     xi_ee_max,
     xi_se_max,
 )
-from ofdmsee.se_engine import ENTROPY_TOL
+from ofdmsee.se_engine import ENTROPY_TOL, _density, _entropy_edges, _loading_constants, pdf_radial
+from ofdmsee.specfun import _GK15
 from oracles import se_bounds
 
 # each example costs one se() call (a few ms); derandomize makes every run
@@ -134,6 +136,35 @@ def test_se_lies_between_the_bussgang_and_max_entropy_bounds(link, xi):
     sc = link[0]
     lower, upper = se_bounds(sc.gamma, xi)
     assert lower - SE_BOUND_SLACK <= se(xi, sc) <= upper + SE_BOUND_SLACK
+
+
+# a batch of the entropy quadrature: up to 8 loadings, repeats and both ends
+# of the range among them
+batches = st.lists(st.one_of(loadings, st.sampled_from([1e-6, 1.0])), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(link=sized_links(), xis=batches)
+def test_density_core_of_a_batch_is_pdf_radial_per_loading(link, xis):
+    # the quadrature evaluates a whole batch in one call of the density core,
+    # each loading's constants taken once and each loading its own Marcum
+    # lattice; at every node of every loading's panels it reads the float
+    # pdf_radial gives that loading alone
+    sc = link[0]
+    nodes = _GK15[0]
+    radii = []
+    for x in xis:
+        edges = _entropy_edges(x, sc)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        radii.append(((0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * nodes).ravel())
+    rows = np.repeat(np.arange(len(xis)), [r.size for r in radii])
+    batch = _density(np.concatenate(radii), rows, _loading_constants(np.asarray(xis), sc), sc)
+    alone = [pdf_radial(r, x, sc) for r, x in zip(radii, xis)]
+    assert batch.tobytes() == np.concatenate(alone).tobytes()
+    if len(xis) == 1:
+        # a batch of one takes its constants as floats
+        one = _density(radii[0], None, _loading_constants(xis[0], sc), sc)
+        assert one.tobytes() == alone[0].tobytes()
 
 
 @SETTINGS

@@ -395,15 +395,19 @@ class TestEntropyLayout:
 
     @staticmethod
     def radii_seen(xi, sc, monkeypatch):
+        # the radii the quadrature hands its density core, which serves it
+        # in place of the public pdf_* functions
         seen = []
+        real = se_engine._density
 
-        def recording(r, xi, scenario):
+        def recording(r, rows, loading, scenario):
             seen.append(np.array(r, dtype=float))
-            return pdf_unclipped(r, xi, scenario)
+            return real(r, rows, loading, scenario)
 
-        monkeypatch.setattr(se_engine, "pdf_unclipped", recording)
+        monkeypatch.setattr(se_engine, "_density", recording)
         h = entropy_y(xi, sc)
         monkeypatch.undo()
+        assert seen, "the quadrature did not reach its density core"
         return h, np.concatenate(seen)
 
     @staticmethod
@@ -469,18 +473,20 @@ class TestEntropyLayout:
         # grid's radii stay within their count (114,270; 144,520 with a Gauss
         # pair of 8 and 12 nodes on 12 ring panels)
         radii = []
-        real = se_engine.pdf_unclipped
+        real = se_engine._density
 
-        def counting(r, xi, scenario):
+        def counting(r, rows, loading, scenario):
             radii.append(np.size(r))
-            return real(r, xi, scenario)
+            return real(r, rows, loading, scenario)
 
-        monkeypatch.setattr(se_engine, "pdf_unclipped", counting)
+        monkeypatch.setattr(se_engine, "_density", counting)
         evals = self.count_integrand_calls(monkeypatch)
         points = self.GRID_351
         for g, x in points:
             entropy_y(float(x), snr_scenario(g))
         assert evals == [1] * len(points) == [1] * 351
+        # one density call per point, each on its panels' nodes
+        assert len(radii) == 351 and min(radii) > 0
         assert sum(radii) <= 115_000
 
     @staticmethod

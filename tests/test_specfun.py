@@ -14,7 +14,8 @@ from ofdmsee import (
     lambert_w,
     marcum_q1_complement,
 )
-from ofdmsee.specfun import _BLOCK_ROWS, _GK15, _HANKEL_HI, _HANKEL_LO, bessel_i1e, gauss_panels
+from ofdmsee import specfun
+from ofdmsee.specfun import _BLOCK_ROWS, _CHUNK, _GK15, _HANKEL_HI, _HANKEL_LO, bessel_i1e, gauss_panels
 
 
 # the Hankel expansion's bound against scipy: 3 ulp of relative error
@@ -234,6 +235,36 @@ class TestMarcumQ1:
         assert np.all(q <= bound * (1.0 + 1e-12)), (a[np.argmax(q / bound)], (q / bound).max())
         assert np.all(marcum_q1_complement(a[:-1], b) == 1.0)
 
+    @pytest.mark.parametrize(
+        "rows, u, chunks", [(7, 3.7, [_CHUNK - 8]), (8, 8.2, [_CHUNK]), (19, 26.7, [_CHUNK, 8])]
+    )
+    def test_one_b_per_entry_across_a_chunk_boundary(self, rows, u, chunks, monkeypatch):
+        # entries with distinct b and a = b + u: each b is its own lattice, and
+        # the one kernel pass over every lattice's full panels (t_k0 to the
+        # top, k0 = floor(2u) + 1) and every entry's partial panel holds
+        # rows * (80 - k0 + 1) * 8 elements, one panel short of a chunk, a
+        # chunk, or one panel past it; each entry still reads its scalar call
+        b = np.linspace(10.0, 300.0, rows)
+        a = b + u
+        sizes = []
+        real = specfun.bessel_i1e
+        monkeypatch.setattr(specfun, "bessel_i1e", lambda x: sizes.append(x.size) or real(x))
+        got = marcum_q1_complement(a, b)
+        monkeypatch.undo()
+        assert sizes == chunks
+        assert got.tolist() == [marcum_q1_complement(float(ai), float(bi)) for ai, bi in zip(a, b)]
+        assert 0.0 < got.min() and got.max() < 1.0
+
+    @pytest.mark.parametrize("b", [9.5, 30.0, 300.0, 3000.0])
+    def test_complement_either_side_of_the_cut(self, b):
+        # at b - a = 8 the complement is still below 1.0 and is scipy's; at
+        # b - a = 9.5, past the cut, it reads exactly 1.0. A cut at 7 would
+        # round the first to 1.0 as well
+        near = marcum_q1_complement(b - 8.0, b)
+        assert near < 1.0
+        assert near == pytest.approx(1.0 - scipy_marcum_q1(b - 8.0, b), rel=1e-12)
+        assert marcum_q1_complement(b - 9.5, b) == 1.0
+
     def test_complement_tiny_tail_region(self):
         # far into the right tail Q1 -> 1 and the complement must stay
         # accurate in absolute terms rather than cancelling to 0
@@ -326,7 +357,7 @@ class TestQuadrature:
         # the 15-node Kronrod rule is exact for x^k up to k = 23 and its
         # embedded 7-node Gauss rule up to k = 13; each misses at the next
         # even degree, and each weight set sums to 2, the length of [-1, 1]
-        nodes, kronrod, gauss = _GK15
+        nodes, (kronrod, gauss) = _GK15[0], _GK15[1].T
         assert nodes.size == 15 and np.all(np.diff(nodes) > 0)
         assert np.count_nonzero(gauss) == 7 and np.all(gauss[::2] == 0.0)
         for weights, degree in ((kronrod, 23), (gauss, 13)):
