@@ -16,7 +16,7 @@ import numpy as np
 
 from ._common import golden_max
 from .power_models import doherty_pieces, pc_ideal, pc_nonlinear
-from .se_engine import XI_FLOOR, se, se_curve, se_ideal, se_memo, xi_se_opt
+from .se_engine import XI_FLOOR, se, se_curve, se_ideal, xi_se_opt
 from .specfun import WBranch, lambert_w
 
 __all__ = [
@@ -165,14 +165,10 @@ def xi_ee_max(scenario, power_params, n_ways=2):
     """
     pieces = doherty_pieces(power_params, n_ways)
     best_xi, best_ee = None, -math.inf
-    # the pieces share their breakpoint, which each search evaluates
-    with se_memo():
-        for lo, hi, _, _ in pieces:
-            xi, val = golden_max(
-                lambda x: ee(x, scenario, power_params, n_ways), max(lo, XI_FLOOR), hi
-            )
-            if val > best_ee:
-                best_xi, best_ee = xi, val
+    for lo, hi, _, _ in pieces:
+        xi, val = golden_max(lambda x: ee(x, scenario, power_params, n_ways), max(lo, XI_FLOOR), hi)
+        if val > best_ee:
+            best_xi, best_ee = xi, val
     return best_xi, _active_piece(best_xi, pieces)[0]
 
 

@@ -226,12 +226,9 @@ def _run_chain(config, xis, scenario, channel, sink):
                         y += s
                     sink(j, (first + lo) * n, y)
 
-    if workers == 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for done in [pool.submit(run, w) for w in range(workers)]:
-                done.result()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for done in [pool.submit(run, w) for w in range(workers)]:
+            done.result()
 
 
 def simulate_frames(config, xi, scenario, channel=None):

@@ -136,9 +136,11 @@ def clip_probability(xi):
     """Probability that a Gaussian OFDM sample exceeds the PA input limit.
 
     With input power loaded at a fraction xi of the saturating input power,
-    the Rayleigh amplitude exceeds a_max with probability exp(-1/xi).
+    the Rayleigh amplitude exceeds a_max with probability exp(-1/xi), which
+    is exactly 0.0 below xi = 1/746.
     """
-    return scalar_like(xi, np.exp(-1.0 / check_loading(xi)))
+    # the floor keeps 1/xi finite and changes no value: exp(-1000) is 0.0
+    return scalar_like(xi, np.exp(-1.0 / np.maximum(check_loading(xi), 1e-3)))
 
 
 def drain_efficiency(spec):

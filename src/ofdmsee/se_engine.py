@@ -11,9 +11,9 @@ r = |y|; masses are recovered as integral of 2*pi*r*f(r).
 
 The density has one body, _density (with its branches _unclipped and
 _clipped), which checks nothing: the public pdf_unclipped, pdf_clipped and
-pdf_radial check their radii and loadings once and call it, and the entropy
-quadrature calls it directly on a batch of loadings, whose constants (T, the
-a/r scale, b and the clip weight) it takes once per batch.
+pdf_radial take one loading, check it and their radii once and call it, and
+the entropy quadrature calls it directly on a batch of loadings, whose
+constants (T, the a/r scale, b and the clip weight) it takes once per batch.
 """
 
 import contextlib
@@ -117,7 +117,7 @@ class ChannelProfile:
         object.__setattr__(self, "taps", taps)
         if len(taps) < 1:
             raise ValueError("profile needs at least one tap")
-        power = sum(abs(t) ** 2 for t in taps)
+        power = sum(abs(t) * abs(t) for t in taps)
         if not (math.isfinite(power) and power > 0.0):
             raise ValueError("total tap power must be finite and positive")
 
@@ -140,13 +140,18 @@ def build_scenario(g_db, alpha, d_km, noise_psd_dbm_hz, bandwidth, spec):
     Attenuation G - 128 + 10*log10(d^-alpha) dB (distance in km) is folded
     into the noise: effective noise variance = thermal noise power divided by
     the linear attenuation. spec provides the amplifier's output rating and
-    gain.
+    gain. ValueError, naming the arguments, when d_km, bandwidth or the
+    noise variance they give is not finite and positive.
     """
     check_positive("d_km", d_km)
     check_positive("bandwidth", bandwidth)
-    att_db = g_db - 128.0 + 10.0 * math.log10(d_km ** (-alpha))
-    noise_watts = dbm_to_watts(noise_psd_dbm_hz) * bandwidth
-    sigma2 = noise_watts / db_to_lin(att_db)
+    try:
+        att_db = g_db - 128.0 + 10.0 * math.log10(d_km ** (-alpha))
+        noise_watts = dbm_to_watts(noise_psd_dbm_hz) * bandwidth
+        sigma2 = noise_watts / db_to_lin(att_db)
+    except (ArithmeticError, ValueError):
+        sigma2 = math.nan
+    check_positive("the noise variance of g_db, alpha, d_km and noise_psd_dbm_hz", sigma2)
     return LinkScenario(
         bandwidth=bandwidth,
         noise_variance=sigma2,
@@ -172,7 +177,8 @@ def _loading_constants(xi, scenario):
 
     T = gp + sigma^2 (gp the signal power), a = r sqrt(2 gp / (T sigma^2)),
     b = b_max sqrt(2 T / (gp sigma^2)), and the clipped branch's weight
-    Pr[clip] / (pi sigma^2).
+    Pr[clip] / (pi sigma^2). b divides in numpy, even for a float xi, and is
+    inf at subnormal loadings; the callers silence the warning.
     """
     sqrt = math.sqrt if isinstance(xi, float) else np.sqrt
     s2 = scenario.noise_variance
@@ -181,7 +187,7 @@ def _loading_constants(xi, scenario):
     return (
         total,
         sqrt(2.0 * gp / (total * s2)),
-        scenario.b_max * sqrt(2.0 * total / (gp * s2)),
+        scenario.b_max * sqrt(2.0 * total / np.asarray(gp * s2)),
         clip_probability(xi) / (math.pi * s2),
     )
 
@@ -218,25 +224,20 @@ def _density(r, rows, loading, scenario):
 
 
 def _checked(branch, r, xi, scenario):
-    # a density branch at radii r and loading xi, each checked once: xi a
-    # scalar, or an array that broadcasts to r's shape, whose distinct
-    # loadings are the rows of the branch
-    xi = check_loading(xi)
+    # a density branch at radii r and the one loading xi, each checked once
+    if np.ndim(xi) != 0:
+        raise ValueError("xi must be one loading factor, not an array")
+    xi = check_loading(float(xi))
     rr = _as_radii(r)
-    if np.ndim(xi) == 0:
-        rows, loading = None, _loading_constants(float(xi), scenario)
-    else:
-        rr, xi = np.broadcast_arrays(rr, xi)
-        loadings, rows = np.unique(xi.ravel(), return_inverse=True)
-        loading = _loading_constants(loadings, scenario)
-    with np.errstate(under="ignore"):
-        out = branch(rr.ravel(), rows, loading)
+    # huge radii overflow to exp(-inf) = 0, the limit; see _loading_constants
+    with np.errstate(under="ignore", over="ignore", divide="ignore"):
+        out = branch(rr.ravel(), None, _loading_constants(xi, scenario))
     return scalar_like(r, out.reshape(rr.shape))
 
 
 def pdf_unclipped(r, xi, scenario):
-    """Unclipped-branch density at radius r, at loading xi (a scalar, or an
-    array that broadcasts to r's shape: one loading per radius).
+    """Unclipped-branch density at radius r (a scalar or an array of any
+    shape), at the one loading xi (a scalar; an array raises ValueError).
 
     Joint density of the received sample and the event that the input stayed
     below the clip level: the signal amplitude is a truncated Rayleigh on
@@ -261,8 +262,8 @@ pdf_unclipped_closed = pdf_unclipped
 
 
 def pdf_clipped(r, xi, scenario):
-    """Clipped-branch density at radius r, at loading xi (a scalar, or an
-    array that broadcasts to r's shape).
+    """Clipped-branch density at radius r (a scalar or an array of any
+    shape), at the one loading xi (a scalar; an array raises ValueError).
 
     Saturated samples land exactly on the output circle of radius b_max and
     are smeared by noise into a Rician ring, weighted by the clip
@@ -273,8 +274,8 @@ def pdf_clipped(r, xi, scenario):
 
 
 def pdf_radial(r, xi, scenario):
-    """Total received density at radius r (both branches), at loading xi (a
-    scalar, or an array that broadcasts to r's shape)."""
+    """Total received density at radius r (both branches), as
+    pdf_unclipped takes its arguments."""
     return _checked(lambda rr, rows, loading: _density(rr, rows, loading, scenario), r, xi, scenario)
 
 
@@ -349,7 +350,8 @@ def _entropies(xis, scenario):
     for start in range(0, len(xis), _BATCH_LOADINGS):
         batch = xis[start : start + _BATCH_LOADINGS]
         one = len(batch) == 1
-        loading = _loading_constants(batch[0] if one else np.asarray(batch), scenario)
+        with np.errstate(over="ignore", divide="ignore"):  # b = inf: see _loading_constants
+            loading = _loading_constants(batch[0] if one else np.asarray(batch), scenario)
 
         def integrand(radii, rows):
             f = _density(radii, None if one else rows, loading, scenario)
@@ -468,10 +470,13 @@ def se_ibo(xi, scenario):
 
     log2(1 + gamma*xi) plus a clipping penalty proportional to the clip
     probability; accurate for loadings up to roughly 0.3 and exact in the
-    deep-backoff limit. xi may be an array of loadings.
+    deep-backoff limit, which it reaches below xi = 1/746 (no clipping, no
+    penalty). xi may be an array of loadings.
     """
     clip = clip_probability(xi)
-    penalty = clip * (1.0 / (np.asarray(xi, dtype=float) * LN2) + noise_entropy(scenario))
+    # no penalty where nothing clips: 1/xi stays finite at subnormal loadings
+    x = np.where(clip > 0.0, xi, 1.0)
+    penalty = clip * (1.0 / (x * LN2) + noise_entropy(scenario))
     return scalar_like(xi, se_ideal(xi, scenario) + penalty)
 
 

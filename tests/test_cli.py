@@ -105,6 +105,14 @@ class TestConfigFile:
         header, _, _ = parse_csv(out_cli)
         assert header["d_km"] == "0.2"
 
+    def test_equals_spelling_reads_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d_km = 0.4\nxi_grid = 0.05:0.8:5\n")
+        _, spaced, _ = run(capsys, "se-sweep", "--config", str(cfg))
+        code, joined, _ = run(capsys, "se-sweep", f"--config={cfg}")
+        assert code == 0 and joined == spaced
+        assert parse_csv(joined)[0]["d_km"] == "0.4"
+
     def test_missing_config_file_is_reported(self, capsys):
         code, _, err = run(capsys, "se-sweep", "--config", "/nonexistent/path.cfg")
         assert code == 2
@@ -628,6 +636,40 @@ class TestParsing:
             main(["se-sweep", "--xi-grid", "0:1:5"])
         assert exc.value.code == 2
         assert "grid needs 0 < min < max <= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [("0.1:1", "grid must be min:max:n or min:max:n:log"), ("0.1:1:5:log:x", "grid must be min:max:n"),
+         ("0.1:1:5:cubic", "grid spacing must be 'lin' or 'log'")],
+    )
+    def test_malformed_grid_exits_with_usage(self, capsys, grid, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["se-sweep", "--xi-grid", grid])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("targets", ["2,abc", "1;2"])
+    def test_malformed_targets_exit_with_usage(self, capsys, targets):
+        with pytest.raises(SystemExit) as exc:
+            main(["pas-frontier", "--targets", targets])
+        assert exc.value.code == 2
+        assert "expected a comma-separated list of numbers" in capsys.readouterr().err
+
+    def test_subnormal_loadings_print_finite_cells(self, capsys):
+        # at 1e-320 the clip probability and the backoff penalty are 0
+        code, out, err = run(capsys, "se-sweep", "--xi-grid", "1e-320:1:3")
+        assert code == 0 and err == ""
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 3 and "nan" not in out
+        assert rows[0][1:] == ["0", "0", "0", "0"]
+
+    @pytest.mark.parametrize("flag, value", [("--g-db", "1e308"), ("--g-db", "-inf"), ("--d-km", "1e-320")])
+    def test_link_budget_out_of_range_names_its_flag(self, capsys, flag, value):
+        code, _, err = run(capsys, "se-sweep", "--xi-grid", GRID, f"{flag}={value}")
+        assert code == 2
+        record = json.loads(err)
+        assert record["error"] == "ValueError"
+        assert flag[2:].replace("-", "_") in record["message"]
 
     def test_grid_needs_enough_points(self, capsys):
         with pytest.raises(SystemExit):

@@ -102,6 +102,17 @@ class TestFrameConfig:
         with pytest.raises(ValueError):
             make_config(cp_length=-1)
 
+    @pytest.mark.parametrize("seed", [2**64, -1, 1.5])
+    def test_seed_must_fit_in_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            make_config(seed=seed)
+        make_config(seed=2**64 - 1)
+
+    @pytest.mark.parametrize("pa_model", ["rapp", None, 1.0])
+    def test_unknown_pa_model_rejected(self, pa_model):
+        with pytest.raises(ValueError, match="pa_model must be"):
+            make_config(pa_model=pa_model)
+
     def test_cp_longer_than_the_frame_rejected(self, scenario):
         # such a prefix once failed inside simulate_frames with a numpy
         # broadcast error

@@ -70,6 +70,23 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_leaves_the_marcum_node_table_unbuilt():
+    # the Gauss-Legendre nodes of the Marcum lattice come from
+    # numpy.polynomial, which the table loads on its first use, not at import
+    src = Path(ofdmsee.__file__).resolve().parent.parent
+    code = (
+        "import sys, ofdmsee, ofdmsee.cli; "
+        "print('numpy.polynomial' in sys.modules, ofdmsee.specfun._lattice.cache_info().currsize); "
+        "ofdmsee.marcum_q1_complement(3.0, 3.0); "
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["False", "0", "True"]
+
+
 @pytest.mark.parametrize("command", ["se-sweep", "pas-frontier", "tradeoff", "optimal-xi", "mc-validate"])
 def test_default_run_leaves_scipy_unloaded(command, tmp_path):
     # these runs evaluate the Bessel kernels at arguments of 50 and above

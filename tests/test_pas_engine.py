@@ -159,6 +159,11 @@ class TestScheduleAverages:
         want = 0.65 * se(0.4, lo) + 0.35 * se(0.15, hi)
         assert pas_se((0.4, 0.15), 0.65, cfg) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("xi", [(0.4, 0.15, 0.2), [0.4], ()])
+    def test_per_arm_loading_needs_two_entries(self, base_config, xi):
+        with pytest.raises(ValueError, match="exactly two entries"):
+            pas_se(xi, 0.5, base_config)
+
 
 @pytest.fixture(scope="module")
 def tdd_clean(arm_low, arm_high):

@@ -64,6 +64,13 @@ class TestDohertySupply:
         draws = [ppa_doherty(float(x), 10.0, n_ways=2) for x in xs]
         assert all(b >= a for a, b in zip(draws, draws[1:]))
 
+    @pytest.mark.parametrize("n_ways", [0, -1, 2.0])
+    def test_way_count_below_one_or_not_an_integer_rejected(self, n_ways):
+        with pytest.raises(ValueError, match="n_ways must be an integer >= 1"):
+            ppa_doherty(0.5, 10.0, n_ways=n_ways)
+        with pytest.raises(ValueError, match="n_ways must be an integer >= 1"):
+            doherty_pieces(BS_PRESETS["macro"], n_ways)
+
     @pytest.mark.parametrize("kind", sorted(BS_PRESETS))
     def test_is_the_shape_pc_nonlinear_evaluates(self, kind):
         # ppa_doherty is pc_nonlinear's PA term with its full-load draw c0

@@ -159,6 +159,13 @@ class TestScenario:
                 xi * scenario.p_max_out, rel=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "taps, message", [((), "at least one tap"), ((0.0, 0.0j), "power"), ((1e200, 1.0), "power")]
+    )
+    def test_channel_profile_needs_finite_positive_power(self, taps, message):
+        with pytest.raises(ValueError, match=message):
+            ChannelProfile(taps=taps)
+
     def test_noise_entropy_matches_gaussian(self, scenario):
         want = math.log2(math.pi * math.e * scenario.noise_variance)
         assert noise_entropy(scenario) == pytest.approx(want, rel=1e-14)
@@ -285,6 +292,12 @@ class TestRadialPdf:
             got = pdf(r.reshape(3, 4), 0.3, scenario)
             assert got.shape == (3, 4)
             assert np.array_equal(got.ravel(), pdf(r, 0.3, scenario))
+
+    @pytest.mark.parametrize("r", [-1.0, np.array([0.5, -1e-300]), math.nan, np.array([1.0, math.inf])])
+    def test_negative_or_non_finite_radii_rejected(self, scenario, r):
+        for pdf in (pdf_unclipped, pdf_clipped, pdf_radial):
+            with pytest.raises(ValueError, match="radii must be finite and non-negative"):
+                pdf(r, 0.3, scenario)
 
     @pytest.mark.parametrize("gamma_db, xi", [(51.0, 0.25), (100.0, 1e-6), (25.0, 0.7), (0.0, 1e-3)])
     def test_interior_rows_are_the_untruncated_gaussian(self, gamma_db, xi, snr_scenario):

@@ -265,6 +265,11 @@ class TestMarcumQ1:
         assert near == pytest.approx(1.0 - scipy_marcum_q1(b - 8.0, b), rel=1e-12)
         assert marcum_q1_complement(b - 9.5, b) == 1.0
 
+    @pytest.mark.parametrize("a, b", [(-1.0, 3.0), (np.array([1.0, -1e-300]), 3.0), (1.0, math.nan), (1.0, -2.0)])
+    def test_negative_or_nan_arguments_rejected(self, a, b):
+        with pytest.raises(ValueError, match="requires finite a, b >= 0"):
+            marcum_q1_complement(a, b)
+
     def test_complement_tiny_tail_region(self):
         # far into the right tail Q1 -> 1 and the complement must stay
         # accurate in absolute terms rather than cancelling to 0
@@ -316,6 +321,12 @@ class TestLambertW:
     def test_out_of_domain_raises(self):
         with pytest.raises(ValueError):
             lambert_w(-1.0, WBranch.PRINCIPAL)
+
+    @pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("branch", list(WBranch))
+    def test_non_finite_argument_rejected(self, q, branch):
+        with pytest.raises(ValueError, match="requires finite q"):
+            lambert_w(q, branch)
 
 
 class TestQuadrature:
